@@ -139,7 +139,7 @@ int main() {
               "census s", "cpu s", "full s", "incr s", "dirty", "anycast",
               "rss MB");
 
-  census::CensusMatrix prev;
+  census::ShardedCensusMatrix prev;
   std::vector<analysis::TargetOutcome> prev_outcomes;
   std::vector<RoundCost> costs;
   bool identical = true;
@@ -151,9 +151,9 @@ int main() {
     census::Greylist blacklist;
     const double cpu0 = cpu_seconds();
     auto start = Clock::now();
-    census::CensusMatrix data =
-        run_census(internet, vps, hitlist, blacklist, fastping, nullptr,
-                   &pool)
+    census::ShardedCensusMatrix data =
+        census::run_census_sharded(internet, vps, hitlist, blacklist,
+                                   fastping, {}, nullptr, &pool)
             .data;
     cost.census_s = seconds_since(start);
     cost.census_cpu_s = cpu_seconds() - cpu0;

@@ -30,7 +30,7 @@ int main() {
   constexpr double kArkHitRate = 0.06;
   constexpr int kClusters = 3;
   rng::Xoshiro256 gen(7);
-  census::CensusMatrixBuilder ark_builder(hitlist.size());
+  census::ShardedCensusMatrixBuilder ark_builder(hitlist.size());
   std::uint64_t ark_probes = 0;
   std::uint64_t ark_hits = 0;
   for (std::uint32_t t = 0; t < hitlist.size(); ++t) {
@@ -49,15 +49,15 @@ int main() {
       }
     }
   }
-  const census::CensusMatrix ark_data = ark_builder.build();
+  const census::ShardedCensusMatrix ark_data = ark_builder.build();
   const auto ark_outcomes = analyzer.analyze(ark_data, hitlist);
 
   // --- Census pattern: every VP probes the representative of every /24.
   census::Greylist blacklist;
   census::FastPingConfig fastping;
   fastping.seed = 8;
-  const auto census_output =
-      run_census(internet, vps, hitlist, blacklist, fastping);
+  const auto census_output = census::run_census_sharded(
+      internet, vps, hitlist, blacklist, fastping);
   const auto census_outcomes = analyzer.analyze(census_output.data, hitlist);
 
   print_title("Sec. 3.2 — Archipelago-style dataset vs dedicated census");

@@ -41,8 +41,8 @@
 #include <vector>
 
 #include "anycast/analysis/analyzer.hpp"
-#include "anycast/census/census.hpp"
 #include "anycast/census/hitlist.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/ipaddr/ipv4.hpp"
 #include "anycast/net/platform.hpp"
@@ -83,9 +83,9 @@ float synthetic_rtt(std::uint32_t vp, std::uint32_t target, int round) {
   return 10.0F + static_cast<float>(h % 20000) / 100.0F;  // 10..210 ms
 }
 
-census::CensusMatrix build_round(std::size_t targets, std::size_t vps,
-                                 int round) {
-  census::CensusMatrixBuilder builder(targets);
+census::ShardedCensusMatrix build_round(std::size_t targets,
+                                        std::size_t vps, int round) {
+  census::ShardedCensusMatrixBuilder builder(targets);
   for (std::uint32_t v = 0; v < vps; ++v) {
     const std::uint32_t stride =
         kStrides[v % (sizeof kStrides / sizeof kStrides[0])];
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
 
   // ---- Snapshot A: build, analyze, publish -------------------------------
   const auto build_a_start = Clock::now();
-  census::CensusMatrix matrix_a = build_round(targets, vps, 1);
+  census::ShardedCensusMatrix matrix_a = build_round(targets, vps, 1);
   const double build_a_seconds = seconds_since(build_a_start);
   const std::size_t observations = matrix_a.observation_count();
 
@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
   std::vector<analysis::TargetOutcome> oracle_b;  // analyzer's own answers
   std::thread builder([&] {
     const auto b0 = Clock::now();
-    census::CensusMatrix matrix_b = build_round(targets, vps, 2);
+    census::ShardedCensusMatrix matrix_b = build_round(targets, vps, 2);
     build_b_seconds = seconds_since(b0);
     const auto a0 = Clock::now();
     std::vector<analysis::TargetOutcome> outcomes_b =

@@ -32,8 +32,8 @@ int main() {
     census::Greylist blacklist;
     census::FastPingConfig fastping;
     fastping.seed = 1;
-    const auto output =
-        run_census(internet, vps, hitlist, blacklist, fastping);
+    const auto output = census::run_census_sharded(
+        internet, vps, hitlist, blacklist, fastping);
     const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
     const auto outcomes = analyzer.analyze(output.data, hitlist);
     std::uint64_t replicas = 0;

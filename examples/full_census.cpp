@@ -6,7 +6,7 @@
 
 #include "anycast/analysis/analyzer.hpp"
 #include "anycast/analysis/report.hpp"
-#include "anycast/census/census.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
@@ -38,13 +38,13 @@ int main() {
   //    output is identical for any thread count (merge order is fixed).
   concurrency::ThreadPool pool;  // one lane per core
   census::Greylist blacklist;
-  census::CensusMatrix combined(hitlist.size());
+  census::ShardedCensusMatrix combined(hitlist.size(), /*plane=*/{});
   for (int c = 0; c < 3; ++c) {
     census::FastPingConfig fastping;
     fastping.seed = 100 + static_cast<std::uint64_t>(c);
-    const census::CensusOutput output = run_census(
-        internet, vps, hitlist, blacklist, fastping, /*faults=*/nullptr,
-        &pool);
+    const census::ShardedCensusOutput output = census::run_census_sharded(
+        internet, vps, hitlist, blacklist, fastping, /*plane=*/{},
+        /*faults=*/nullptr, &pool);
     std::printf(
         "census %d: %llu probes, %llu replies, %llu errors (%zu newly "
         "greylisted)\n",

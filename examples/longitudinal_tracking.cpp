@@ -9,7 +9,7 @@
 
 #include "anycast/analysis/analyzer.hpp"
 #include "anycast/analysis/diff.hpp"
-#include "anycast/census/census.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
 
@@ -26,8 +26,8 @@ analysis::CensusSnapshot run_epoch(const net::SimulatedInternet& internet,
   census::FastPingConfig config;
   config.seed = seed;
   config.vp_availability = 0.85;
-  const census::CensusOutput output =
-      run_census(internet, vps, hitlist, blacklist, config);
+  const census::ShardedCensusOutput output = census::run_census_sharded(
+      internet, vps, hitlist, blacklist, config);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   return analysis::CensusSnapshot(analyzer.analyze(output.data, hitlist));
 }

@@ -236,47 +236,18 @@ std::vector<TargetOutcome> CensusAnalyzer::analyze_block(
   return out;
 }
 
-namespace {
-
-void emit_analysis_summary(std::size_t targets, std::size_t min_vps,
-                           std::size_t anycast) {
-  obs::Journal& j = obs::journal();
-  j.emit(obs::MetricClass::kSemantic, obs::Severity::kInfo,
-         "analysis.summary", j.next_order(),
-         {{"targets", targets},
-          {"min_vps", min_vps},
-          {"anycast", anycast}});
-  j.commit();  // the sweep's end is a deterministic boundary, like a
-               // census reduction's
-}
-
-}  // namespace
-
 std::vector<TargetOutcome> CensusAnalyzer::analyze(
-    const census::CensusMatrix& data, const census::Hitlist& hitlist,
+    const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
     std::size_t min_vps, concurrency::ThreadPool* pool) const {
   const std::size_t targets = std::min(data.target_count(), hitlist.size());
   if (targets == 0) return {};
   // Adoption point: range spans on worker threads attach here.
   const obs::Span sweep_span(obs::Span::Root::kAdoptionPoint, "analysis",
                              targets);
-  std::vector<TargetOutcome> out =
-      analyze_block(data, 0, targets, hitlist, min_vps, pool);
-  emit_analysis_summary(targets, min_vps, out.size());
-  return out;
-}
-
-std::vector<TargetOutcome> CensusAnalyzer::analyze(
-    const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
-    std::size_t min_vps, concurrency::ThreadPool* pool) const {
-  const std::size_t targets = std::min(data.target_count(), hitlist.size());
-  if (targets == 0) return {};
-  const obs::Span sweep_span(obs::Span::Root::kAdoptionPoint, "analysis",
-                             targets);
-  // Shards in index order, each swept exactly like a monolithic matrix
-  // over its local range; the semantic tallies are integer sums that
-  // commute across blocks, and exactly one summary event closes the
-  // sweep — so shard size cannot leak into the semantic stream.
+  // Shards in index order, each swept over its local range; the semantic
+  // tallies are integer sums that commute across blocks, and exactly one
+  // summary event closes the sweep — so shard size cannot leak into the
+  // semantic stream.
   std::vector<TargetOutcome> out;
   for (std::size_t s = 0; s < data.shard_count(); ++s) {
     const std::size_t base = data.shard_base(s);
@@ -288,7 +259,14 @@ std::vector<TargetOutcome> CensusAnalyzer::analyze(
     out.insert(out.end(), std::make_move_iterator(block.begin()),
                std::make_move_iterator(block.end()));
   }
-  emit_analysis_summary(targets, min_vps, out.size());
+  obs::Journal& j = obs::journal();
+  j.emit(obs::MetricClass::kSemantic, obs::Severity::kInfo,
+         "analysis.summary", j.next_order(),
+         {{"targets", targets},
+          {"min_vps", min_vps},
+          {"anycast", out.size()}});
+  j.commit();  // the sweep's end is a deterministic boundary, like a
+               // census reduction's
   return out;
 }
 

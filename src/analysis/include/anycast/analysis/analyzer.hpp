@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "anycast/census/census.hpp"
 #include "anycast/census/hitlist.hpp"
 #include "anycast/census/sharded.hpp"
 #include "anycast/core/igreedy.hpp"
@@ -40,24 +39,15 @@ class CensusAnalyzer {
 
   /// Detection sweep + full iGreedy on detected targets. Only targets with
   /// at least `min_vps` echo replies are considered (a single disk can
-  /// never violate the speed of light). With a multi-lane `pool`, targets
-  /// are sharded into contiguous row ranges over the matrix's CSR offset
-  /// array — balanced by stored measurements, not row count — analysed
-  /// concurrently, and the per-shard outcomes are concatenated in index
-  /// order: the result is element-identical to the serial sweep for any
-  /// thread count.
-  [[nodiscard]] std::vector<TargetOutcome> analyze(
-      const census::CensusMatrix& data, const census::Hitlist& hitlist,
-      std::size_t min_vps = 2, concurrency::ThreadPool* pool = nullptr) const;
-
-  /// The same sweep over the sharded data plane: shards are analysed in
-  /// index order (each sharded internally exactly like the monolithic
-  /// sweep) and outcomes carry global target indices, so the result —
-  /// and the single semantic analysis.summary event — is
-  /// element-identical to analyzing the equivalent monolithic matrix,
-  /// for any shard size and thread count. Reads work on spilled shards;
-  /// their pages fault back from the spill files as the sweep touches
-  /// them.
+  /// never violate the speed of light). Shards are analysed in index
+  /// order and outcomes carry global target indices. With a multi-lane
+  /// `pool`, each shard's targets are split into contiguous row ranges
+  /// over its CSR offset array — balanced by stored measurements, not row
+  /// count — analysed concurrently, and the outcomes are concatenated in
+  /// index order. The result, and the single semantic analysis.summary
+  /// event, are element-identical for any shard size and thread count.
+  /// Reads work on spilled shards; their pages fault back from the spill
+  /// files as the sweep touches them.
   [[nodiscard]] std::vector<TargetOutcome> analyze(
       const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
       std::size_t min_vps = 2, concurrency::ThreadPool* pool = nullptr) const;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "anycast/analysis/analyzer.hpp"
-#include "anycast/census/census.hpp"
 #include "anycast/census/hitlist.hpp"
 
 namespace anycast::analysis {
@@ -36,22 +35,11 @@ class HijackMonitor {
   /// geo-inconsistency in `reference` is recorded as knowingly unicast.
   /// Targets already anycast in the reference are ignored by later scans
   /// (they are expected to violate the speed of light).
-  void set_reference(const census::CensusMatrix& reference,
-                     const census::Hitlist& hitlist, std::size_t min_vps = 2);
-
-  /// Sharded reference: identical classification (global-index row reads
-  /// are O(1) through the shard directory), so the learned unicast set
-  /// matches the monolithic overload for any shard size.
   void set_reference(const census::ShardedCensusMatrix& reference,
                      const census::Hitlist& hitlist, std::size_t min_vps = 2);
 
   /// Scans a later census: raises one alarm per reference-unicast prefix
   /// that now violates the speed of light.
-  [[nodiscard]] std::vector<HijackAlarm> scan(
-      const census::CensusMatrix& data, const census::Hitlist& hitlist,
-      std::size_t min_vps = 2) const;
-
-  /// The same scan over the sharded data plane.
   [[nodiscard]] std::vector<HijackAlarm> scan(
       const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
       std::size_t min_vps = 2) const;
@@ -63,12 +51,6 @@ class HijackMonitor {
   /// exactly the alarms a full scan would raise minus those already
   /// standing in the previous round (edge-triggered reporting).
   [[nodiscard]] std::vector<HijackAlarm> scan_targets(
-      const census::CensusMatrix& data, const census::Hitlist& hitlist,
-      std::span<const std::uint32_t> targets, std::size_t min_vps = 2) const;
-
-  /// Dirty-row scan over the sharded data plane (same edge-triggered
-  /// contract; target indices are global).
-  [[nodiscard]] std::vector<HijackAlarm> scan_targets(
       const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
       std::span<const std::uint32_t> targets, std::size_t min_vps = 2) const;
 
@@ -77,9 +59,8 @@ class HijackMonitor {
   }
 
  private:
-  template <typename MatrixT>
   [[nodiscard]] std::optional<HijackAlarm> scan_one(
-      const MatrixT& data, const census::Hitlist& hitlist,
+      const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
       std::uint32_t target_index, std::size_t min_vps) const;
 
   CensusAnalyzer analyzer_;

@@ -20,17 +20,10 @@
 namespace anycast::analysis {
 
 /// Target indices (dense hitlist rows) whose RTT vectors differ between
-/// two CSR snapshots, ascending. Rows are compared element-wise (vp and
-/// rtt) — never by memcmp, which would read struct padding. Matrices with
-/// different target counts are incomparable: every row of `next` is dirty.
-[[nodiscard]] std::vector<std::uint32_t> dirty_rows(
-    const census::CensusMatrix& prev, const census::CensusMatrix& next,
-    concurrency::ThreadPool* pool = nullptr);
-
-/// Sharded snapshots: shard pairs are diffed in index order (global
-/// indices out), so the result equals the monolithic diff of the same
-/// data. Snapshots with different layouts (target count or shard size)
-/// are incomparable: every row of `next` is dirty.
+/// two snapshots, ascending. Shard pairs are diffed in index order and
+/// rows are compared element-wise (vp and rtt) — never by memcmp, which
+/// would read struct padding. Snapshots with different layouts (target
+/// count or shard size) are incomparable: every row of `next` is dirty.
 [[nodiscard]] std::vector<std::uint32_t> dirty_rows(
     const census::ShardedCensusMatrix& prev,
     const census::ShardedCensusMatrix& next,
@@ -49,17 +42,9 @@ struct IncrementalResult {
 
 /// Re-analyzes only the rows of `next` that differ from `prev`, reusing
 /// `prev_outcomes` (the full analysis of `prev`, sorted by target_index)
-/// for every clean row. Emits one `analysis.incremental` semantic event
+/// for every clean row. Row routing by global index is O(1), so only the
+/// dirty rows are read. Emits one `analysis.incremental` semantic event
 /// and commits the journal, mirroring the full sweep's boundary.
-[[nodiscard]] IncrementalResult incremental_analyze(
-    const CensusAnalyzer& analyzer, std::span<const TargetOutcome> prev_outcomes,
-    const census::CensusMatrix& prev, const census::CensusMatrix& next,
-    const census::Hitlist& hitlist, std::size_t min_vps = 2,
-    concurrency::ThreadPool* pool = nullptr);
-
-/// The same incremental pass over sharded snapshots: global-index row
-/// routing is O(1), dirty detection diffs shard pairs, and the spliced
-/// result is element-identical to the monolithic pass on the same data.
 [[nodiscard]] IncrementalResult incremental_analyze(
     const CensusAnalyzer& analyzer, std::span<const TargetOutcome> prev_outcomes,
     const census::ShardedCensusMatrix& prev,

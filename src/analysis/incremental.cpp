@@ -20,11 +20,11 @@ bool rows_equal(std::span<const census::VpRtt> a,
   return true;
 }
 
-}  // namespace
-
-std::vector<std::uint32_t> dirty_rows(const census::CensusMatrix& prev,
-                                      const census::CensusMatrix& next,
-                                      concurrency::ThreadPool* pool) {
+/// Local indices of the rows that differ between two shards. Shards with
+/// different target counts are incomparable: every row of `next` is dirty.
+std::vector<std::uint32_t> dirty_rows_in_shard(const census::CensusMatrix& prev,
+                                               const census::CensusMatrix& next,
+                                               concurrency::ThreadPool* pool) {
   const std::size_t targets = next.target_count();
   if (prev.target_count() != targets) {
     std::vector<std::uint32_t> all(targets);
@@ -63,6 +63,8 @@ std::vector<std::uint32_t> dirty_rows(const census::CensusMatrix& prev,
   return out;
 }
 
+}  // namespace
+
 std::vector<std::uint32_t> dirty_rows(const census::ShardedCensusMatrix& prev,
                                       const census::ShardedCensusMatrix& next,
                                       concurrency::ThreadPool* pool) {
@@ -72,30 +74,24 @@ std::vector<std::uint32_t> dirty_rows(const census::ShardedCensusMatrix& prev,
     std::iota(all.begin(), all.end(), 0u);
     return all;
   }
-  // Shard pairs in index order, local diffs lifted to global indices:
-  // exactly the rows (and order) the monolithic diff would produce.
+  // Shard pairs in index order, local diffs lifted to global indices.
   std::vector<std::uint32_t> out;
   for (std::size_t s = 0; s < next.shard_count(); ++s) {
     const auto base = static_cast<std::uint32_t>(next.shard_base(s));
     for (const std::uint32_t local :
-         dirty_rows(prev.shard(s), next.shard(s), pool)) {
+         dirty_rows_in_shard(prev.shard(s), next.shard(s), pool)) {
       out.push_back(base + local);
     }
   }
   return out;
 }
 
-namespace {
-
-/// The incremental pass, parameterized over the matrix type: both data
-/// planes expose target_count() and O(1) measurements(global index), and
-/// dirty_rows overloads handle the layout-specific diff.
-template <typename MatrixT>
-IncrementalResult incremental_analyze_impl(
+IncrementalResult incremental_analyze(
     const CensusAnalyzer& analyzer,
-    std::span<const TargetOutcome> prev_outcomes, const MatrixT& prev,
-    const MatrixT& next, const census::Hitlist& hitlist, std::size_t min_vps,
-    concurrency::ThreadPool* pool) {
+    std::span<const TargetOutcome> prev_outcomes,
+    const census::ShardedCensusMatrix& prev,
+    const census::ShardedCensusMatrix& next, const census::Hitlist& hitlist,
+    std::size_t min_vps, concurrency::ThreadPool* pool) {
   IncrementalResult result;
   const std::size_t targets = std::min(next.target_count(), hitlist.size());
   result.dirty = dirty_rows(prev, next, pool);
@@ -171,28 +167,6 @@ IncrementalResult incremental_analyze_impl(
           {"anycast", result.outcomes.size()}});
   j.commit();
   return result;
-}
-
-}  // namespace
-
-IncrementalResult incremental_analyze(
-    const CensusAnalyzer& analyzer,
-    std::span<const TargetOutcome> prev_outcomes,
-    const census::CensusMatrix& prev, const census::CensusMatrix& next,
-    const census::Hitlist& hitlist, std::size_t min_vps,
-    concurrency::ThreadPool* pool) {
-  return incremental_analyze_impl(analyzer, prev_outcomes, prev, next,
-                                  hitlist, min_vps, pool);
-}
-
-IncrementalResult incremental_analyze(
-    const CensusAnalyzer& analyzer,
-    std::span<const TargetOutcome> prev_outcomes,
-    const census::ShardedCensusMatrix& prev,
-    const census::ShardedCensusMatrix& next, const census::Hitlist& hitlist,
-    std::size_t min_vps, concurrency::ThreadPool* pool) {
-  return incremental_analyze_impl(analyzer, prev_outcomes, prev, next,
-                                  hitlist, min_vps, pool);
 }
 
 }  // namespace anycast::analysis

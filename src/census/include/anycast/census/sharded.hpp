@@ -37,8 +37,8 @@ class ThreadPool;
 namespace anycast::census {
 
 /// Data-plane shape knobs, threaded from the CLI (`--shard-targets`,
-/// `--rss-budget-mb`) down to the builder. The defaults reproduce the
-/// monolithic plane exactly: one shard, no spilling.
+/// `--rss-budget-mb`) down to the builder. The defaults give one shard
+/// spanning the whole hitlist and no spilling.
 struct DataPlaneConfig {
   /// Targets per shard; 0 = a single shard spanning the whole hitlist.
   std::size_t shard_targets = 0;
@@ -179,9 +179,21 @@ class ShardedCensusMatrixBuilder {
   std::vector<bool> has_frozen_;
 };
 
-/// run_census with the sharded data plane: identical map/reduce flow,
-/// summary, greylist, journal stream, and semantic metrics — only the
-/// matrix layout (and its kTiming shard/spill telemetry) differs.
+/// Runs one full census: every VP probes every non-blacklisted target,
+/// new offenders land in the greylist which is merged into `blacklist`
+/// afterwards (the Sec. 3.3 workflow). Deterministic in config.seed; when
+/// `faults` is non-null, also deterministic in the plan's seed (VPs may
+/// crash, straggle, or get quarantined — see `VpOutcome`). Quarantined
+/// VPs keep their summary counters but contribute no rows to `data`.
+/// The rows stream through a ShardedCensusMatrixBuilder under `plane`
+/// (the default is one shard, no spilling); the shard size changes only
+/// the matrix layout and its kTiming shard/spill telemetry.
+///
+/// When `pool` is non-null with more than one lane, the per-VP walks run
+/// concurrently (each with a private greylist) and their results are
+/// reduced in VP order on the calling thread, so the output — rows,
+/// summary counters, outcome order, greylist membership and per-code
+/// counters — is byte-identical to the serial run for any thread count.
 struct ShardedCensusOutput {
   ShardedCensusMatrix data;
   CensusSummary summary;

@@ -4,7 +4,7 @@
 // (Fig. 1). Because of the LFSR probing order, "the order of the target
 // IPs in all files is not the same, meaning that an on-the-fly sorting of
 // about 300 lists containing millions of targets is needed" (Sec. 3.5) —
-// `collate_census_files` performs exactly that step, producing the
+// `collate_census_files_sharded` performs exactly that step, producing the
 // per-target RTT rows the analyzer consumes.
 //
 // Files double as checkpoints for crash recovery (see resume.hpp): they
@@ -19,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "anycast/census/census.hpp"
 #include "anycast/census/record.hpp"
 #include "anycast/census/sharded.hpp"
 
@@ -27,7 +26,7 @@ namespace anycast::census {
 
 /// Header flag: the VP finished its walk before this file was written.
 /// Absent on the checkpoint of a crashed or cut-off VP, which tells
-/// `resume_census` to re-run it.
+/// `resume_census_sharded` to re-run it.
 inline constexpr std::uint32_t kCensusFileComplete = 1u;
 
 /// Identity of one VP's census upload.
@@ -51,9 +50,8 @@ void write_census_file(const std::filesystem::path& path,
                        std::span<const Observation> observations);
 
 /// Reads a census file back. Returns nullopt on a missing, truncated, or
-/// corrupted file (the analysis must survive partial uploads). Both v2
-/// (CRC-trailed) and legacy v1 (no trailer) files are accepted; a v2 file
-/// whose CRC does not match its contents is rejected.
+/// corrupted file (the analysis must survive partial uploads): only a v2
+/// file whose CRC matches its contents is accepted.
 struct CensusFile {
   CensusFileHeader header;
   std::vector<Observation> observations;
@@ -79,25 +77,12 @@ struct CollateStats {
 
 /// Collates per-VP census files into the per-target CSR matrix: the
 /// on-the-fly sort across LFSR-ordered lists. Each file reduces to its
-/// VP's row fragment, and a `CensusMatrixBuilder` assembles the frozen
-/// matrix in two passes. `target_count` sizes the result (hitlist size).
-/// When `salvage` is true, damaged files contribute their valid record
-/// prefix; otherwise they are skipped whole.
-CensusMatrix collate_census_files(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    CollateStats* stats, bool salvage = true);
-
-/// Legacy strict collation: damaged files are skipped whole and counted
-/// in `skipped_files` (when non-null).
-CensusMatrix collate_census_files(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    std::size_t* skipped_files = nullptr);
-
-/// Sharded collation: identical file walk and accounting, but the
-/// fragments stream through a ShardedCensusMatrixBuilder — one file in
-/// memory at a time, staged shards flushed under the plane's budgets —
-/// so a paper-scale repository collates in bounded RSS. The result is
-/// element-identical to the monolithic collation for any shard size.
+/// VP's row fragment, and the fragments stream through a
+/// ShardedCensusMatrixBuilder — one file in memory at a time, staged
+/// shards flushed under the plane's budgets — so a paper-scale repository
+/// collates in bounded RSS. `target_count` sizes the result (hitlist
+/// size). When `salvage` is true, damaged files contribute their valid
+/// record prefix; otherwise they are skipped whole.
 ShardedCensusMatrix collate_census_files_sharded(
     std::span<const std::filesystem::path> paths, std::size_t target_count,
     const DataPlaneConfig& plane, CollateStats* stats, bool salvage = true);

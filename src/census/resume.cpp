@@ -89,21 +89,24 @@ struct VpWork {
   std::vector<TargetRtt> fragment; // per-target minima, merged in VP order
 };
 
-/// The whole resume flow, parameterized over the matrix builder and
-/// report type (see run_census_reduce in census.cpp): both data planes
-/// make identical recovery decisions in identical order, so everything
-/// but the matrix layout — report counters, summary, checkpoint files,
-/// journal stream, semantic metrics — is byte-identical between them.
-template <typename Builder, typename Report>
-void resume_census_reduce(const net::SimulatedInternet& internet,
-                          std::span<const net::VantagePoint> vps,
-                          const Hitlist& hitlist, Greylist& blacklist,
-                          const FastPingConfig& config,
-                          const std::filesystem::path& dir,
-                          std::uint32_t census_id,
-                          const net::FaultPlan* faults,
-                          concurrency::ThreadPool* pool, Builder& builder,
-                          Report& report) {
+}  // namespace
+
+std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
+                                             std::uint32_t census_id,
+                                             std::uint32_t vp_id) {
+  return dir / ("census" + std::to_string(census_id) + "_vp" +
+                std::to_string(vp_id) + ".anc");
+}
+
+ShardedResumeReport resume_census_sharded(
+    const net::SimulatedInternet& internet,
+    std::span<const net::VantagePoint> vps, const Hitlist& hitlist,
+    Greylist& blacklist, const FastPingConfig& config,
+    const std::filesystem::path& dir, std::uint32_t census_id,
+    const DataPlaneConfig& plane, const net::FaultPlan* faults,
+    concurrency::ThreadPool* pool) {
+  ShardedResumeReport report;
+  ShardedCensusMatrixBuilder builder(hitlist.size(), plane);
   std::filesystem::create_directories(dir);
   // Adoption point: per-VP recovery spans on worker threads attach here.
   const obs::Span resume_span(obs::Span::Root::kAdoptionPoint,
@@ -183,8 +186,9 @@ void resume_census_reduce(const net::SimulatedInternet& internet,
     }
   }
 
-  // Reduce in VP order on this thread (see run_census): byte-identical
-  // output for any thread count, including the resumed checkpoints.
+  // Reduce in VP order on this thread (see run_census_sharded):
+  // byte-identical output for any thread count, including the resumed
+  // checkpoints.
   Greylist census_greylist;
   for (std::size_t i = 0; i < vps.size(); ++i) {
     const net::VantagePoint& vp = vps[i];
@@ -226,43 +230,6 @@ void resume_census_reduce(const net::SimulatedInternet& internet,
   in.vps_reused.add(report.vps_reused);
   in.vps_rerun.add(report.vps_rerun);
   in.files_salvaged.add(report.files_salvaged);
-}
-
-}  // namespace
-
-std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
-                                             std::uint32_t census_id,
-                                             std::uint32_t vp_id) {
-  return dir / ("census" + std::to_string(census_id) + "_vp" +
-                std::to_string(vp_id) + ".anc");
-}
-
-ResumeReport resume_census(const net::SimulatedInternet& internet,
-                           std::span<const net::VantagePoint> vps,
-                           const Hitlist& hitlist, Greylist& blacklist,
-                           const FastPingConfig& config,
-                           const std::filesystem::path& dir,
-                           std::uint32_t census_id,
-                           const net::FaultPlan* faults,
-                           concurrency::ThreadPool* pool) {
-  ResumeReport report;
-  CensusMatrixBuilder builder(hitlist.size());
-  resume_census_reduce(internet, vps, hitlist, blacklist, config, dir,
-                       census_id, faults, pool, builder, report);
-  return report;
-}
-
-ShardedResumeReport resume_census_sharded(
-    const net::SimulatedInternet& internet,
-    std::span<const net::VantagePoint> vps, const Hitlist& hitlist,
-    Greylist& blacklist, const FastPingConfig& config,
-    const std::filesystem::path& dir, std::uint32_t census_id,
-    const DataPlaneConfig& plane, const net::FaultPlan* faults,
-    concurrency::ThreadPool* pool) {
-  ShardedResumeReport report;
-  ShardedCensusMatrixBuilder builder(hitlist.size(), plane);
-  resume_census_reduce(internet, vps, hitlist, blacklist, config, dir,
-                       census_id, faults, pool, builder, report);
   return report;
 }
 

@@ -36,9 +36,7 @@ const StorageInstruments& storage_instruments() {
   return instruments;
 }
 
-constexpr std::uint32_t kFileMagicV1 = 0x46434E41;  // "ANCF" (no trailer)
 constexpr std::uint32_t kFileMagicV2 = 0x32434E41;  // "ANC2" (CRC trailer)
-constexpr std::size_t kHeaderBytesV1 = 12;  // magic, vp, census
 constexpr std::size_t kHeaderBytesV2 = 16;  // magic, vp, census, flags
 constexpr std::size_t kTrailerBytes = 4;    // CRC32 of everything before
 
@@ -94,27 +92,18 @@ std::optional<std::vector<std::uint8_t>> slurp(
   return buffer;
 }
 
-/// Parses the version-dependent header. Returns the payload offset, or 0
-/// when the magic is unknown or the buffer too short for its header.
+/// Parses the v2 header. Returns the payload offset, or 0 when the magic
+/// is unknown or the buffer too short for the header.
 std::size_t parse_header(const std::vector<std::uint8_t>& buffer,
-                         CensusFileHeader& header, bool& has_trailer) {
-  if (buffer.size() >= kHeaderBytesV2 &&
-      load32(buffer.data()) == kFileMagicV2) {
-    header.vp_id = load32(buffer.data() + 4);
-    header.census_id = load32(buffer.data() + 8);
-    header.flags = load32(buffer.data() + 12);
-    has_trailer = true;
-    return kHeaderBytesV2;
+                         CensusFileHeader& header) {
+  if (buffer.size() < kHeaderBytesV2 ||
+      load32(buffer.data()) != kFileMagicV2) {
+    return 0;
   }
-  if (buffer.size() >= kHeaderBytesV1 &&
-      load32(buffer.data()) == kFileMagicV1) {
-    header.vp_id = load32(buffer.data() + 4);
-    header.census_id = load32(buffer.data() + 8);
-    header.flags = kCensusFileComplete;  // v1 had no notion of partial files
-    has_trailer = false;
-    return kHeaderBytesV1;
-  }
-  return 0;
+  header.vp_id = load32(buffer.data() + 4);
+  header.census_id = load32(buffer.data() + 8);
+  header.flags = load32(buffer.data() + 12);
+  return kHeaderBytesV2;
 }
 
 }  // namespace
@@ -179,19 +168,14 @@ std::optional<CensusFile> read_census_file(
   const auto buffer = slurp(path);
   if (!buffer.has_value()) return std::nullopt;
   CensusFile out;
-  bool has_trailer = false;
-  const std::size_t payload_at = parse_header(*buffer, out.header,
-                                              has_trailer);
+  const std::size_t payload_at = parse_header(*buffer, out.header);
   if (payload_at == 0) return std::nullopt;
-  std::size_t payload_end = buffer->size();
-  if (has_trailer) {
-    if (buffer->size() < payload_at + kTrailerBytes) return std::nullopt;
-    payload_end -= kTrailerBytes;
-    const std::uint32_t stored = load32(buffer->data() + payload_end);
-    const std::uint32_t actual =
-        crc32(std::span<const std::uint8_t>(buffer->data(), payload_end));
-    if (stored != actual) return std::nullopt;
-  }
+  if (buffer->size() < payload_at + kTrailerBytes) return std::nullopt;
+  const std::size_t payload_end = buffer->size() - kTrailerBytes;
+  const std::uint32_t stored = load32(buffer->data() + payload_end);
+  const std::uint32_t actual =
+      crc32(std::span<const std::uint8_t>(buffer->data(), payload_end));
+  if (stored != actual) return std::nullopt;
   auto decoded = decode_binary(std::span<const std::uint8_t>(
       buffer->data() + payload_at, payload_end - payload_at));
   if (!decoded.has_value()) return std::nullopt;
@@ -209,9 +193,7 @@ std::optional<CensusFile> salvage_census_file(
   const auto buffer = slurp(path);
   if (!buffer.has_value()) return std::nullopt;
   CensusFile out;
-  bool has_trailer = false;
-  const std::size_t payload_at = parse_header(*buffer, out.header,
-                                              has_trailer);
+  const std::size_t payload_at = parse_header(*buffer, out.header);
   if (payload_at == 0) return std::nullopt;
   // Whatever follows the header is a genuine record-stream prefix: the
   // trailer only ever exists at the very end of an intact file, so a
@@ -234,16 +216,10 @@ std::optional<CensusFile> salvage_census_file(
   return out;
 }
 
-namespace {
-
-/// The collation walk, parameterized over the matrix builder so the
-/// monolithic and sharded planes share one code path (identical file
-/// order, salvage decisions, and accounting).
-template <typename Builder>
-auto collate_into(Builder& builder,
-                  std::span<const std::filesystem::path> paths,
-                  std::size_t target_count, CollateStats* stats,
-                  bool salvage) {
+ShardedCensusMatrix collate_census_files_sharded(
+    std::span<const std::filesystem::path> paths, std::size_t target_count,
+    const DataPlaneConfig& plane, CollateStats* stats, bool salvage) {
+  ShardedCensusMatrixBuilder builder(target_count, plane);
   CollateStats local;
   for (const std::filesystem::path& path : paths) {
     const auto file =
@@ -268,32 +244,6 @@ auto collate_into(Builder& builder,
   }
   if (stats != nullptr) *stats = local;
   return builder.build();
-}
-
-}  // namespace
-
-CensusMatrix collate_census_files(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    CollateStats* stats, bool salvage) {
-  CensusMatrixBuilder builder(target_count);
-  return collate_into(builder, paths, target_count, stats, salvage);
-}
-
-ShardedCensusMatrix collate_census_files_sharded(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    const DataPlaneConfig& plane, CollateStats* stats, bool salvage) {
-  ShardedCensusMatrixBuilder builder(target_count, plane);
-  return collate_into(builder, paths, target_count, stats, salvage);
-}
-
-CensusMatrix collate_census_files(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    std::size_t* skipped_files) {
-  CollateStats stats;
-  CensusMatrix data =
-      collate_census_files(paths, target_count, &stats, /*salvage=*/false);
-  if (skipped_files != nullptr) *skipped_files = stats.files_skipped;
-  return data;
 }
 
 }  // namespace anycast::census

@@ -49,9 +49,12 @@ struct Result {
                                  // measurement was usable)
   int iterations = 0;            // iGreedy rounds until convergence
   std::size_t usable_measurements = 0;
-  /// Size of the first-round MIS: pairwise-disjoint disks, each provably
-  /// holding a distinct replica — the strict conservative lower bound.
-  /// Later rounds raise recall but inherit classification error, so
+  /// Size of the greedy first-round MIS: pairwise-disjoint disks, each
+  /// provably holding a distinct replica, picked smallest first. It never
+  /// exceeds the true replica count, but greedy is not maximum: on a row
+  /// flagged anycast, a small disk overlapping both members of every
+  /// disjoint pair is picked alone, so the first round can hold 1. Later
+  /// rounds raise recall but inherit classification error, so
   /// `replicas.size() >= first_round_replicas` with no upper guarantee.
   std::size_t first_round_replicas = 0;
 };

@@ -3,10 +3,10 @@
 // A census is only useful if it can be asked questions — "is this /24
 // anycast, where are its replicas, what changed since last week" — and at
 // paper scale those questions arrive as serving traffic, not as offline
-// analysis jobs. A SnapshotView binds one frozen (sharded or monolithic)
-// CSR census matrix to its analysis outcomes and answers point, batch,
-// and diff queries over them with zero mutation: every field is written
-// once at build() time and only ever read afterwards, which is what lets
+// analysis jobs. A SnapshotView binds one frozen sharded CSR census
+// matrix to its analysis outcomes and answers point, batch, and diff
+// queries over them with zero mutation: every field is written once at
+// build() time and only ever read afterwards, which is what lets
 // SnapshotStore hand the same view to any number of concurrent readers
 // with no locks (store.hpp).
 //
@@ -32,7 +32,6 @@
 
 #include "anycast/analysis/analyzer.hpp"
 #include "anycast/analysis/diff.hpp"
-#include "anycast/census/census.hpp"
 #include "anycast/census/hitlist.hpp"
 #include "anycast/census/sharded.hpp"
 #include "anycast/geodesy/chord.hpp"
@@ -67,12 +66,6 @@ class SnapshotView {
   /// answer attribution. When `hitlist` is non-null an address index is
   /// built so queries can be keyed by dotted /24 as well as dense index.
   static SnapshotView build(census::ShardedCensusMatrix matrix,
-                            std::vector<analysis::TargetOutcome> outcomes,
-                            std::uint64_t id,
-                            const census::Hitlist* hitlist = nullptr);
-
-  /// Monolithic convenience: wraps the matrix into a single-shard plane.
-  static SnapshotView build(census::CensusMatrix matrix,
                             std::vector<analysis::TargetOutcome> outcomes,
                             std::uint64_t id,
                             const census::Hitlist* hitlist = nullptr);

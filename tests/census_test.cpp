@@ -5,13 +5,13 @@
 #include <set>
 #include <tuple>
 
-#include "anycast/census/census.hpp"
 #include "anycast/census/fastping.hpp"
 #include "anycast/census/greylist.hpp"
 #include "anycast/census/hitlist.hpp"
-#include "anycast/census/legacy_census.hpp"
 #include "anycast/census/record.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/net/platform.hpp"
+#include "legacy_census.hpp"
 
 namespace anycast::census {
 namespace {
@@ -525,14 +525,15 @@ TEST(CensusMatrixOracle, CombineMinGrowsToTheLargerTargetCount) {
   EXPECT_EQ(small.target_count(), 5u);
 }
 
-// --- run_census ---------------------------------------------------------------
+// --- run_census_sharded ------------------------------------------------------
 
 TEST(RunCensus, FunnelAccountingIsConsistent) {
   const Hitlist hitlist = Hitlist::from_world(tiny_world()).without_dead();
   const auto vps = net::make_planetlab({.node_count = 8, .seed = 36});
   Greylist blacklist;
-  const CensusOutput output =
-      run_census(tiny_world(), vps, hitlist, blacklist, FastPingConfig{});
+  const ShardedCensusOutput output =
+      run_census_sharded(tiny_world(), vps, hitlist, blacklist,
+                         FastPingConfig{});
   EXPECT_EQ(output.summary.probes_sent,
             output.summary.echo_replies + output.summary.errors +
                 output.summary.timeouts);
@@ -548,10 +549,12 @@ TEST(RunCensus, SecondCensusSkipsBlacklistedTargets) {
   const Hitlist hitlist = Hitlist::from_world(tiny_world()).without_dead();
   const auto vps = net::make_planetlab({.node_count = 4, .seed = 37});
   Greylist blacklist;
-  const CensusOutput first =
-      run_census(tiny_world(), vps, hitlist, blacklist, FastPingConfig{});
-  const CensusOutput second =
-      run_census(tiny_world(), vps, hitlist, blacklist, FastPingConfig{});
+  const ShardedCensusOutput first =
+      run_census_sharded(tiny_world(), vps, hitlist, blacklist,
+                         FastPingConfig{});
+  const ShardedCensusOutput second =
+      run_census_sharded(tiny_world(), vps, hitlist, blacklist,
+                         FastPingConfig{});
   // Prohibited targets answered (as errors) in census 1, are skipped in 2.
   EXPECT_GT(first.summary.errors, 0u);
   EXPECT_EQ(second.summary.errors, 0u);

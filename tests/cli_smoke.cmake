@@ -380,6 +380,29 @@ if(NOT out MATCHES "census.walk")
   message(FATAL_ERROR "run report missing journal event table: ${out}")
 endif()
 
+# `report` and `analyze` collate the same checkpoints: their anycast /24
+# and AS counts must agree.
+set(bold_count "\\*\\*([0-9]+)\\*\\*")
+if(NOT out MATCHES "- anycast /24: ${bold_count} in ${bold_count} ASes")
+  message(FATAL_ERROR "run report missing anycast /24 count: ${out}")
+endif()
+set(report_ip24 ${CMAKE_MATCH_1})
+set(report_ases ${CMAKE_MATCH_2})
+execute_process(
+  COMMAND ${ANYCASTD} analyze --in ${WORK_DIR}/d1 --vps 12 --unicast 400
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "analyze of d1 failed (${rc}): ${out}${err}")
+endif()
+if(NOT out MATCHES "anycast: ([0-9]+) /24 in ([0-9]+) ASes")
+  message(FATAL_ERROR "analyze missing anycast /24 count: ${out}")
+endif()
+if(NOT CMAKE_MATCH_1 EQUAL report_ip24 OR NOT CMAKE_MATCH_2 EQUAL report_ases)
+  message(FATAL_ERROR
+    "report says ${report_ip24} /24 in ${report_ases} ASes, analyze says "
+    "${CMAKE_MATCH_1} /24 in ${CMAKE_MATCH_2} ASes")
+endif()
+
 # Resume with no checkpoints on disk must refuse with a clear one-line
 # error and a nonzero exit, instead of silently running a fresh census.
 execute_process(

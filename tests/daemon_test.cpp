@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "anycast/analysis/incremental.hpp"
-#include "anycast/census/census.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/daemon/supervisor.hpp"
 #include "anycast/daemon/watch.hpp"
@@ -161,8 +161,8 @@ TEST(Supervisor, VerdictReplayRestoresEscalation) {
 // --- dirty_rows / incremental_analyze ---------------------------------------
 
 TEST(IncrementalAnalysis, DirtyRowsFindsExactlyTheChangedRows) {
-  census::CensusMatrixBuilder prev_builder(10);
-  census::CensusMatrixBuilder next_builder(10);
+  census::ShardedCensusMatrixBuilder prev_builder(10);
+  census::ShardedCensusMatrixBuilder next_builder(10);
   for (std::uint32_t t = 0; t < 10; ++t) {
     prev_builder.add(t, 0, 10.0F + static_cast<float>(t));
     prev_builder.add(t, 1, 20.0F);
@@ -170,8 +170,8 @@ TEST(IncrementalAnalysis, DirtyRowsFindsExactlyTheChangedRows) {
     next_builder.add(t, 1, t == 3 ? 21.0F : 20.0F);  // row 3: rtt changed
     if (t == 7) next_builder.add(t, 2, 30.0F);       // row 7: extra vp
   }
-  const census::CensusMatrix prev = prev_builder.build();
-  const census::CensusMatrix next = next_builder.build();
+  const census::ShardedCensusMatrix prev = prev_builder.build();
+  const census::ShardedCensusMatrix next = next_builder.build();
 
   const auto dirty = analysis::dirty_rows(prev, next);
   EXPECT_EQ(dirty, (std::vector<std::uint32_t>{3, 7}));
@@ -182,10 +182,10 @@ TEST(IncrementalAnalysis, DirtyRowsFindsExactlyTheChangedRows) {
 }
 
 TEST(IncrementalAnalysis, MismatchedTargetCountsDirtyEverything) {
-  const census::CensusMatrix prev =
-      census::CensusMatrixBuilder(5).build();
-  const census::CensusMatrix next =
-      census::CensusMatrixBuilder(7).build();
+  const census::ShardedCensusMatrix prev =
+      census::ShardedCensusMatrixBuilder(5).build();
+  const census::ShardedCensusMatrix next =
+      census::ShardedCensusMatrixBuilder(7).build();
   std::vector<std::uint32_t> all(7);
   std::iota(all.begin(), all.end(), 0u);
   EXPECT_EQ(analysis::dirty_rows(prev, next), all);
@@ -211,18 +211,18 @@ TEST(IncrementalAnalysis, MatchesFullAnalyzeUnderAdverseRounds) {
   // shape watch rounds actually produce. The incremental splice must be
   // element-identical to a full re-analysis of next, serial and pooled.
   census::Greylist blacklist_a;
-  const census::CensusMatrix prev =
-      run_census(small_world(), small_vps(), small_hitlist(), blacklist_a,
-                 watch_fastping())
+  const census::ShardedCensusMatrix prev =
+      run_census_sharded(small_world(), small_vps(), small_hitlist(),
+                         blacklist_a, watch_fastping())
           .data;
   net::FaultSpec spec;
   spec.outage_rate = 0.6;
   spec.crash_rate = 0.3;
   const net::FaultPlan plan(spec);
   census::Greylist blacklist_b;
-  const census::CensusMatrix next =
-      run_census(small_world(), small_vps(), small_hitlist(), blacklist_b,
-                 watch_fastping(), &plan)
+  const census::ShardedCensusMatrix next =
+      run_census_sharded(small_world(), small_vps(), small_hitlist(),
+                         blacklist_b, watch_fastping(), /*plane=*/{}, &plan)
           .data;
 
   const analysis::CensusAnalyzer analyzer(small_vps(), geo::world_index());
@@ -245,9 +245,9 @@ TEST(IncrementalAnalysis, MatchesFullAnalyzeUnderAdverseRounds) {
 
 TEST(IncrementalAnalysis, CleanRoundReanalyzesNothing) {
   census::Greylist blacklist;
-  const census::CensusMatrix data =
-      run_census(small_world(), small_vps(), small_hitlist(), blacklist,
-                 watch_fastping())
+  const census::ShardedCensusMatrix data =
+      run_census_sharded(small_world(), small_vps(), small_hitlist(), blacklist,
+                         watch_fastping())
           .data;
   const analysis::CensusAnalyzer analyzer(small_vps(), geo::world_index());
   const auto outcomes = analyzer.analyze(data, small_hitlist());
@@ -262,9 +262,9 @@ TEST(HijackMonitor, ScanTargetsOverDirtyRowsEqualsFullScan) {
   // scan to rows that changed since the reference round must raise the
   // exact alarms of a full scan: an unchanged row cannot change verdict.
   census::Greylist blacklist_a;
-  const census::CensusMatrix reference =
-      run_census(small_world(), small_vps(), small_hitlist(), blacklist_a,
-                 watch_fastping())
+  const census::ShardedCensusMatrix reference =
+      run_census_sharded(small_world(), small_vps(), small_hitlist(),
+                         blacklist_a, watch_fastping())
           .data;
   net::FaultSpec spec;
   spec.hijack_vp_fraction = 0.8;
@@ -274,9 +274,9 @@ TEST(HijackMonitor, ScanTargetsOverDirtyRowsEqualsFullScan) {
   }
   const net::FaultPlan plan(spec);
   census::Greylist blacklist_b;
-  const census::CensusMatrix hijacked =
-      run_census(small_world(), small_vps(), small_hitlist(), blacklist_b,
-                 watch_fastping(), &plan)
+  const census::ShardedCensusMatrix hijacked =
+      run_census_sharded(small_world(), small_vps(), small_hitlist(),
+                         blacklist_b, watch_fastping(), /*plane=*/{}, &plan)
           .data;
 
   analysis::HijackMonitor monitor(small_vps(), geo::world_index());

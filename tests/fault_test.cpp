@@ -6,9 +6,9 @@
 #include <fstream>
 #include <vector>
 
-#include "anycast/census/census.hpp"
 #include "anycast/census/fastping.hpp"
 #include "anycast/census/resume.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/census/storage.hpp"
 #include "anycast/net/fault.hpp"
 #include "anycast/net/platform.hpp"
@@ -44,7 +44,8 @@ std::vector<std::uint8_t> read_bytes(const fs::path& path) {
           std::istreambuf_iterator<char>()};
 }
 
-void expect_same_data(const CensusMatrix& a, const CensusMatrix& b) {
+void expect_same_data(const ShardedCensusMatrix& a,
+                      const ShardedCensusMatrix& b) {
   ASSERT_EQ(a.target_count(), b.target_count());
   for (std::uint32_t t = 0; t < a.target_count(); ++t) {
     const auto ra = a.measurements(t);
@@ -405,7 +406,7 @@ TEST(FastPingFaults, StragglerPastDeadlineIsCutOff) {
   EXPECT_LT(result.observations.size(), tiny_hitlist().size());
 }
 
-// --- run_census under faults ------------------------------------------------
+// --- run_census_sharded under faults ----------------------------------------
 
 TEST(CensusFaults, StormyVpsAreQuarantinedAndExcluded) {
   net::FaultSpec spec;
@@ -418,8 +419,9 @@ TEST(CensusFaults, StormyVpsAreQuarantinedAndExcluded) {
   FastPingConfig config = base_config();
   config.quarantine_drop_rate = 0.3;
   Greylist blacklist;
-  const CensusOutput output = run_census(tiny_world(), vps, tiny_hitlist(),
-                                         blacklist, config, &plan);
+  const ShardedCensusOutput output = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist, config, /*plane=*/{},
+      &plan);
   ASSERT_EQ(output.summary.vp_outcomes.size(), vps.size());
   EXPECT_EQ(output.summary.outcome_count(VpOutcome::kQuarantined),
             vps.size());
@@ -440,10 +442,12 @@ TEST(CensusFaults, ReplayWithSamePlanIsIdentical) {
 
   Greylist blacklist_a;
   Greylist blacklist_b;
-  const CensusOutput a = run_census(tiny_world(), vps, tiny_hitlist(),
-                                    blacklist_a, base_config(), &plan);
-  const CensusOutput b = run_census(tiny_world(), vps, tiny_hitlist(),
-                                    blacklist_b, base_config(), &plan);
+  const ShardedCensusOutput a = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_a, base_config(),
+      /*plane=*/{}, &plan);
+  const ShardedCensusOutput b = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_b, base_config(),
+      /*plane=*/{}, &plan);
   EXPECT_EQ(a.summary.probes_sent, b.summary.probes_sent);
   EXPECT_EQ(a.summary.echo_replies, b.summary.echo_replies);
   EXPECT_EQ(a.summary.timeouts, b.summary.timeouts);
@@ -465,10 +469,11 @@ TEST(CensusFaults, FaultsOnlyDegradeCounters) {
 
   Greylist blacklist_a;
   Greylist blacklist_b;
-  const CensusOutput healthy = run_census(tiny_world(), vps, tiny_hitlist(),
-                                          blacklist_a, base_config());
-  const CensusOutput faulty = run_census(tiny_world(), vps, tiny_hitlist(),
-                                         blacklist_b, base_config(), &plan);
+  const ShardedCensusOutput healthy = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_a, base_config());
+  const ShardedCensusOutput faulty = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_b, base_config(),
+      /*plane=*/{}, &plan);
   EXPECT_LE(faulty.summary.echo_replies, healthy.summary.echo_replies);
   EXPECT_LE(faulty.summary.probes_sent, healthy.summary.probes_sent);
 }
@@ -486,8 +491,9 @@ TEST(CensusFaults, MetricsAccountEveryProbeExactly) {
 
   obs::metrics().reset();
   Greylist blacklist;
-  const CensusOutput output = run_census(tiny_world(), vps, tiny_hitlist(),
-                                         blacklist, base_config(), &plan);
+  const ShardedCensusOutput output = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist, base_config(), /*plane=*/{},
+      &plan);
 
   const auto values = obs::metrics().scrape();
   const auto get = [&values](std::string_view name) -> std::uint64_t {
@@ -535,9 +541,9 @@ TEST_F(ResumeTest, CrashThenResumeEqualsUninterruptedRun) {
   // Baseline: an uninterrupted fault-free census.
   const fs::path clean_dir = dir_ / "clean";
   Greylist blacklist_clean;
-  const ResumeReport clean =
-      resume_census(tiny_world(), vps, tiny_hitlist(), blacklist_clean,
-                    config, clean_dir, /*census_id=*/1);
+  const ShardedResumeReport clean =
+      resume_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist_clean,
+                            config, clean_dir, /*census_id=*/1);
   EXPECT_EQ(clean.vps_rerun, vps.size());
 
   // The same census, but several VPs crash mid-walk...
@@ -546,18 +552,19 @@ TEST_F(ResumeTest, CrashThenResumeEqualsUninterruptedRun) {
   const net::FaultPlan plan(spec);
   const fs::path crash_dir = dir_ / "crashed";
   Greylist blacklist_crash;
-  const ResumeReport crashed =
-      resume_census(tiny_world(), vps, tiny_hitlist(), blacklist_crash,
-                    config, crash_dir, /*census_id=*/1, &plan);
+  const ShardedResumeReport crashed =
+      resume_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist_crash,
+                            config, crash_dir, /*census_id=*/1, /*plane=*/{},
+                            &plan);
   const std::size_t crashes =
       crashed.output.summary.outcome_count(VpOutcome::kCrashed);
   ASSERT_GT(crashes, 0u) << "plan should crash at least one of 8 VPs";
 
   // ...and a fault-free resume re-runs exactly the crashed ones.
   Greylist blacklist_resume;
-  const ResumeReport resumed =
-      resume_census(tiny_world(), vps, tiny_hitlist(), blacklist_resume,
-                    config, crash_dir, /*census_id=*/1);
+  const ShardedResumeReport resumed =
+      resume_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist_resume,
+                            config, crash_dir, /*census_id=*/1);
   EXPECT_EQ(resumed.vps_rerun, crashes);
   EXPECT_EQ(resumed.vps_reused, vps.size() - crashes);
   EXPECT_EQ(
@@ -588,8 +595,8 @@ TEST_F(ResumeTest, TruncatedCheckpointIsSalvagedAndRerun) {
   const auto vps = net::make_planetlab({.node_count = 4, .seed = 91});
   const FastPingConfig config = base_config();
   Greylist blacklist;
-  resume_census(tiny_world(), vps, tiny_hitlist(), blacklist, config, dir_,
-                /*census_id=*/1);
+  resume_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist, config,
+                        dir_, /*census_id=*/1);
 
   // Damage one checkpoint as a crash mid-upload would.
   const fs::path victim = census_checkpoint_path(dir_, 1, vps[1].id);
@@ -597,7 +604,7 @@ TEST_F(ResumeTest, TruncatedCheckpointIsSalvagedAndRerun) {
   fs::resize_file(victim, fs::file_size(victim) / 2);
 
   Greylist blacklist2;
-  const ResumeReport resumed = resume_census(
+  const ShardedResumeReport resumed = resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist2, config, dir_, 1);
   EXPECT_EQ(resumed.files_salvaged, 1u);
   EXPECT_EQ(resumed.vps_rerun, 1u);
@@ -610,10 +617,10 @@ TEST_F(ResumeTest, SecondResumeReusesEverything) {
   const auto vps = net::make_planetlab({.node_count = 4, .seed = 91});
   const FastPingConfig config = base_config();
   Greylist blacklist;
-  const ResumeReport first = resume_census(
+  const ShardedResumeReport first = resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist, config, dir_, 1);
   Greylist blacklist2;
-  const ResumeReport second = resume_census(
+  const ShardedResumeReport second = resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist2, config, dir_, 1);
   EXPECT_EQ(second.vps_reused, vps.size());
   EXPECT_EQ(second.vps_rerun, 0u);
@@ -626,15 +633,15 @@ TEST_F(ResumeTest, MismatchedCensusIdIsNotReused) {
   const auto vps = net::make_planetlab({.node_count = 2, .seed = 91});
   const FastPingConfig config = base_config();
   Greylist blacklist;
-  resume_census(tiny_world(), vps, tiny_hitlist(), blacklist, config, dir_,
-                /*census_id=*/1);
+  resume_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist, config,
+                        dir_, /*census_id=*/1);
   // Pretend census 2's checkpoints are census 1's files.
   for (const net::VantagePoint& vp : vps) {
     fs::copy_file(census_checkpoint_path(dir_, 1, vp.id),
                   census_checkpoint_path(dir_, 2, vp.id));
   }
   Greylist blacklist2;
-  const ResumeReport resumed = resume_census(
+  const ShardedResumeReport resumed = resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist2, config, dir_, 2);
   // Header says census 1, so nothing is trusted.
   EXPECT_EQ(resumed.vps_reused, 0u);

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "anycast/analysis/run_report.hpp"
-#include "anycast/census/census.hpp"
 #include "anycast/census/resume.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/net/fault.hpp"
 #include "anycast/net/platform.hpp"
@@ -310,8 +310,8 @@ std::string census_journal(ThreadPool* pool, const net::FaultPlan* plan) {
   obs::metrics().reset();
   Greylist blacklist;
   const auto vps = net::make_planetlab({.node_count = 12, .seed = 91});
-  (void)census::run_census(tiny_world(), vps, tiny_hitlist(), blacklist,
-                           loaded_config(), plan, pool);
+  (void)census::run_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist,
+                                   loaded_config(), /*plane=*/{}, plan, pool);
   std::string text = obs::journal().semantic_text();
   EXPECT_EQ(obs::journal().events_dropped(), 0u);
   obs::journal().set_recording(false);
@@ -374,9 +374,9 @@ TEST_F(JournalResumeTest, SemanticTextSurvivesCrashAndResume) {
   obs::journal().set_recording(true);
   obs::metrics().reset();
   Greylist blacklist_clean;
-  (void)census::resume_census(tiny_world(), vps, tiny_hitlist(),
-                              blacklist_clean, config, dir_ / "clean",
-                              /*census_id=*/1);
+  (void)census::resume_census_sharded(tiny_world(), vps, tiny_hitlist(),
+                                      blacklist_clean, config, dir_ / "clean",
+                                      /*census_id=*/1);
   const std::string clean_text = obs::journal().semantic_text();
   ASSERT_NE(clean_text.find("census.walk"), std::string::npos);
 
@@ -388,9 +388,9 @@ TEST_F(JournalResumeTest, SemanticTextSurvivesCrashAndResume) {
   obs::journal().reset();
   obs::journal().set_recording(true);
   Greylist blacklist_crash;
-  const census::ResumeReport crashed = census::resume_census(
+  const census::ShardedResumeReport crashed = census::resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist_crash, config, crash_dir,
-      /*census_id=*/1, &plan, &pool);
+      /*census_id=*/1, /*plane=*/{}, &plan, &pool);
   ASSERT_GT(
       crashed.output.summary.outcome_count(census::VpOutcome::kCrashed), 0u);
 
@@ -398,9 +398,9 @@ TEST_F(JournalResumeTest, SemanticTextSurvivesCrashAndResume) {
   obs::journal().set_recording(true);
   obs::metrics().reset();
   Greylist blacklist_resume;
-  const census::ResumeReport resumed = census::resume_census(
+  const census::ShardedResumeReport resumed = census::resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist_resume, config, crash_dir,
-      /*census_id=*/1, /*faults=*/nullptr, &pool);
+      /*census_id=*/1, /*plane=*/{}, /*faults=*/nullptr, &pool);
   EXPECT_GT(resumed.vps_reused, 0u);
   EXPECT_EQ(obs::journal().semantic_text(), clean_text);
 }

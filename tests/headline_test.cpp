@@ -15,7 +15,7 @@
 #include "anycast/analysis/analyzer.hpp"
 #include "anycast/analysis/report.hpp"
 #include "anycast/analysis/validation.hpp"
-#include "anycast/census/census.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
 
@@ -35,17 +35,17 @@ struct HeadlineWorld {
   census::Hitlist hitlist =
       census::Hitlist::from_world(internet).without_dead();
   census::Greylist blacklist;
-  census::CensusMatrix combined;
+  census::ShardedCensusMatrix combined;
   analysis::CensusReport report;
 
   HeadlineWorld()
       : combined([this] {
-          census::CensusMatrix acc(hitlist.size());
+          census::ShardedCensusMatrix acc(hitlist.size(), {});
           for (int c = 0; c < 2; ++c) {
             census::FastPingConfig fastping;
             fastping.seed = 2015 + static_cast<std::uint64_t>(c) * 101;
             acc.combine_min(
-                run_census(internet, vps, hitlist, blacklist, fastping)
+                run_census_sharded(internet, vps, hitlist, blacklist, fastping)
                     .data);
           }
           return acc;
@@ -111,8 +111,8 @@ TEST(Headline, CombinationDominatesSingleCensus) {
   census::Greylist blacklist;
   census::FastPingConfig fastping;
   fastping.seed = 2015;
-  const auto single = run_census(world().internet, world().vps,
-                                 world().hitlist, blacklist, fastping);
+  const auto single = run_census_sharded(world().internet, world().vps,
+                                         world().hitlist, blacklist, fastping);
   const auto outcomes =
       analysis::CensusAnalyzer(world().vps, geo::world_index())
           .analyze(single.data, world().hitlist, /*min_vps=*/2);

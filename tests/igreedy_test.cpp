@@ -129,6 +129,22 @@ TEST(IGreedy, FirstRoundMisIsAStrictLowerBound) {
   }
 }
 
+TEST(IGreedy, FirstRoundMisCanHoldOneDiskOnAFlaggedRow) {
+  // Greedy MIS picks the smallest disk first. A small disk A overlapping
+  // both members of the disjoint pair (B, C) blocks them both, so a row
+  // flagged anycast can end its first round with a single disk.
+  const GeoPoint b(0.0, 0.0);
+  const GeoPoint a(0.0, 20.0);  // ~2,224 km from B and from C
+  const GeoPoint c(0.0, 40.0);  // ~4,448 km from B
+  const std::vector<Measurement> row{
+      {0, a, geodesy::distance_to_min_rtt_ms(1000.0)},
+      {1, b, geodesy::distance_to_min_rtt_ms(2000.0)},
+      {2, c, geodesy::distance_to_min_rtt_ms(2000.0)}};
+  const Result result = IGreedy(cities()).analyze(row);
+  EXPECT_TRUE(result.anycast);
+  EXPECT_EQ(result.first_round_replicas, 1u);
+}
+
 TEST(IGreedy, GeolocationRecoversPlantedCities) {
   // Replicas in three far-apart megacities, VPs colocated nearby: the
   // classification must name exactly those cities.

@@ -7,8 +7,8 @@
 #include <span>
 
 #include "anycast/analysis/analyzer.hpp"
-#include "anycast/census/census.hpp"
 #include "anycast/census/record.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/core/igreedy.hpp"
 #include "anycast/geo/city_data.hpp"
 #include "anycast/geo/city_index.hpp"
@@ -111,18 +111,18 @@ TEST(CombineProperty, OrderOfCombinationIsIrrelevant) {
   const census::Hitlist hitlist =
       census::Hitlist::from_world(internet).without_dead();
 
-  std::vector<census::CensusMatrix> runs;
+  std::vector<census::ShardedCensusMatrix> runs;
   for (int c = 0; c < 3; ++c) {
     census::Greylist blacklist;
     census::FastPingConfig fastping;
     fastping.seed = 300 + static_cast<std::uint64_t>(c);
     runs.push_back(
-        run_census(internet, vps, hitlist, blacklist, fastping).data);
+        run_census_sharded(internet, vps, hitlist, blacklist, fastping).data);
   }
 
-  census::CensusMatrix forward(hitlist.size());
+  census::ShardedCensusMatrix forward(hitlist.size(), {});
   for (const auto& run : runs) forward.combine_min(run);
-  census::CensusMatrix backward(hitlist.size());
+  census::ShardedCensusMatrix backward(hitlist.size(), {});
   for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
     backward.combine_min(*it);
   }

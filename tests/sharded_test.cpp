@@ -303,8 +303,8 @@ FastPingConfig tiny_config() {
 TEST_F(ShardedTest, RunCensusShardedMatchesMonolithic) {
   const auto vps = net::make_planetlab({.node_count = 10, .seed = 55});
   Greylist blacklist_mono;
-  const CensusOutput mono = run_census(tiny_world(), vps, tiny_hitlist(),
-                                       blacklist_mono, tiny_config());
+  const ShardedCensusOutput mono = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_mono, tiny_config());
   DataPlaneConfig plane;
   plane.shard_targets = 37;
   plane.rss_budget_mb = 1;
@@ -313,7 +313,7 @@ TEST_F(ShardedTest, RunCensusShardedMatchesMonolithic) {
   const ShardedCensusOutput sharded =
       run_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist_sharded,
                          tiny_config(), plane);
-  expect_rows_equal(sharded.data, mono.data);
+  expect_rows_equal(sharded.data, mono.data.to_monolithic());
   EXPECT_EQ(sharded.summary.probes_sent, mono.summary.probes_sent);
   EXPECT_EQ(sharded.summary.echo_replies, mono.summary.echo_replies);
   EXPECT_EQ(sharded.summary.greylist_new, mono.summary.greylist_new);
@@ -321,17 +321,17 @@ TEST_F(ShardedTest, RunCensusShardedMatchesMonolithic) {
 }
 
 TEST_F(ShardedTest, CrashResumeSalvageMatchesMonolithic) {
-  // A census dies mid-campaign: checkpoints exist, one is truncated. Both
-  // planes must salvage the same prefix, re-run the same VPs, and land on
-  // element-identical matrices.
+  // A census dies mid-campaign: checkpoints exist, one is truncated. The
+  // one-shard default and a spilling multi-shard plane must salvage the
+  // same prefix, re-run the same VPs, and land on element-identical rows.
   const auto vps = net::make_planetlab({.node_count = 8, .seed = 56});
   const fs::path mono_dir = dir_ / "mono";
   const fs::path sharded_dir = dir_ / "sharded";
 
   const auto seed_checkpoints = [&](const fs::path& out) {
     Greylist blacklist;
-    (void)resume_census(tiny_world(), vps, tiny_hitlist(), blacklist,
-                        tiny_config(), out, /*census_id=*/1);
+    (void)resume_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist,
+                                tiny_config(), out, /*census_id=*/1);
     // Fault injection: truncate one complete checkpoint mid-record and
     // delete another, forcing one salvage + one full re-walk.
     const auto victim = census_checkpoint_path(out, 1, vps[2].id);
@@ -343,9 +343,9 @@ TEST_F(ShardedTest, CrashResumeSalvageMatchesMonolithic) {
   seed_checkpoints(sharded_dir);
 
   Greylist blacklist_mono;
-  const ResumeReport mono =
-      resume_census(tiny_world(), vps, tiny_hitlist(), blacklist_mono,
-                    tiny_config(), mono_dir, 1);
+  const ShardedResumeReport mono =
+      resume_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist_mono,
+                            tiny_config(), mono_dir, 1);
   DataPlaneConfig plane;
   plane.shard_targets = 53;
   plane.rss_budget_mb = 1;
@@ -359,22 +359,31 @@ TEST_F(ShardedTest, CrashResumeSalvageMatchesMonolithic) {
   EXPECT_GE(sharded.files_salvaged, 1u);
   EXPECT_EQ(sharded.vps_rerun, mono.vps_rerun);
   EXPECT_EQ(sharded.vps_reused, mono.vps_reused);
-  expect_rows_equal(sharded.output.data, mono.output.data);
+  expect_rows_equal(sharded.output.data, mono.output.data.to_monolithic());
 }
 
 TEST_F(ShardedTest, CollateShardedMatchesMonolithic) {
   const auto vps = net::make_planetlab({.node_count = 6, .seed = 57});
   Greylist blacklist;
-  (void)resume_census(tiny_world(), vps, tiny_hitlist(), blacklist,
-                      tiny_config(), dir_, /*census_id=*/2);
+  (void)resume_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist,
+                              tiny_config(), dir_, /*census_id=*/2);
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(dir_)) {
     if (entry.path().extension() == ".anc") files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());
   ASSERT_FALSE(files.empty());
-  const CensusMatrix mono = collate_census_files(
-      files, tiny_hitlist().size(), static_cast<CollateStats*>(nullptr));
+  // Reference: the same file walk fed straight into one CSR builder.
+  CensusMatrixBuilder mono_builder(tiny_hitlist().size());
+  for (const fs::path& file : files) {
+    auto loaded = salvage_census_file(file);
+    ASSERT_TRUE(loaded.has_value());
+    mono_builder.add_fragment(
+        static_cast<std::uint16_t>(loaded->header.vp_id),
+        vp_row_fragment(std::span<const Observation>(loaded->observations),
+                        tiny_hitlist().size()));
+  }
+  const CensusMatrix mono = mono_builder.build();
   DataPlaneConfig plane;
   plane.shard_targets = 41;
   const ShardedCensusMatrix sharded = collate_census_files_sharded(
@@ -417,8 +426,8 @@ TEST_F(ShardedTest, CombineMinMatchesMonolithic) {
 TEST_F(ShardedTest, AnalysisAndDirtyRowsMatchMonolithic) {
   const auto vps = net::make_planetlab({.node_count = 10, .seed = 58});
   Greylist blacklist;
-  const CensusOutput mono = run_census(tiny_world(), vps, tiny_hitlist(),
-                                       blacklist, tiny_config());
+  const ShardedCensusOutput mono = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist, tiny_config());
   DataPlaneConfig plane;
   plane.shard_targets = 29;
   Greylist blacklist2;
@@ -442,8 +451,8 @@ TEST_F(ShardedTest, AnalysisAndDirtyRowsMatchMonolithic) {
   FastPingConfig epoch2 = tiny_config();
   epoch2.seed = 78;
   Greylist b3, b4;
-  const CensusOutput mono2 =
-      run_census(tiny_world(), vps, tiny_hitlist(), b3, epoch2);
+  const ShardedCensusOutput mono2 =
+      run_census_sharded(tiny_world(), vps, tiny_hitlist(), b3, epoch2);
   const ShardedCensusOutput sharded2 = run_census_sharded(
       tiny_world(), vps, tiny_hitlist(), b4, epoch2, plane);
   const auto mono_dirty = analysis::dirty_rows(mono.data, mono2.data);

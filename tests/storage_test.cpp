@@ -124,10 +124,10 @@ TEST_F(StorageTest, CollationMatchesDirectCensus) {
   }
   const CensusMatrix direct = direct_builder.build();
 
-  std::size_t skipped = 0;
-  const CensusMatrix collated =
-      collate_census_files(paths, hitlist.size(), &skipped);
-  EXPECT_EQ(skipped, 0u);
+  CollateStats stats;
+  const ShardedCensusMatrix collated = collate_census_files_sharded(
+      paths, hitlist.size(), {}, &stats, /*salvage=*/false);
+  EXPECT_EQ(stats.files_skipped, 0u);
   ASSERT_EQ(collated.target_count(), direct.target_count());
   for (std::uint32_t t = 0; t < direct.target_count(); ++t) {
     const auto a = direct.measurements(t);
@@ -150,9 +150,10 @@ TEST_F(StorageTest, CollationSkipsDamagedUploads) {
   fs::resize_file(bad, fs::file_size(bad) / 2);
 
   const std::vector<fs::path> paths{good, bad, dir_ / "missing.anc"};
-  std::size_t skipped = 0;
-  const CensusMatrix data = collate_census_files(paths, 400, &skipped);
-  EXPECT_EQ(skipped, 2u);
+  CollateStats stats;
+  const ShardedCensusMatrix data =
+      collate_census_files_sharded(paths, 400, {}, &stats, /*salvage=*/false);
+  EXPECT_EQ(stats.files_skipped, 2u);
   std::size_t total = 0;
   for (std::uint32_t t = 0; t < data.target_count(); ++t) {
     total += data.measurements(t).size();
@@ -243,9 +244,10 @@ TEST_F(StorageTest, SalvageOfIntactFileIsNotMarkedSalvaged) {
   EXPECT_TRUE(loaded->header.complete());
 }
 
-TEST_F(StorageTest, LegacyV1FormatStillReadable) {
+TEST_F(StorageTest, LegacyV1FormatRejected) {
   // Hand-build a v1 file: "ANCF" magic, vp, census — no flags word, no
-  // CRC trailer — followed by the shared binary payload.
+  // CRC trailer — followed by the shared binary payload. Nothing writes
+  // v1, and it carries no checksum, so neither reader may accept it.
   const auto stream = sample_stream();
   std::vector<std::uint8_t> bytes;
   const auto append32 = [&bytes](std::uint32_t value) {
@@ -265,13 +267,8 @@ TEST_F(StorageTest, LegacyV1FormatStillReadable) {
             static_cast<std::streamsize>(bytes.size()));
   out.close();
 
-  const auto loaded = read_census_file(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->header.vp_id, 11u);
-  EXPECT_EQ(loaded->header.census_id, 4u);
-  // v1 predates partial checkpoints: every v1 file counts as complete.
-  EXPECT_TRUE(loaded->header.complete());
-  EXPECT_EQ(loaded->observations.size(), stream.size());
+  EXPECT_FALSE(read_census_file(path).has_value());
+  EXPECT_FALSE(salvage_census_file(path).has_value());
 }
 
 TEST_F(StorageTest, CollateStatsSeparateSalvagedFromSkipped) {
@@ -287,16 +284,18 @@ TEST_F(StorageTest, CollateStatsSeparateSalvagedFromSkipped) {
 
   const std::vector<fs::path> paths{good, chopped, garbage};
   CollateStats stats;
-  const CensusMatrix data = collate_census_files(paths, 400, &stats);
+  const ShardedCensusMatrix data =
+      collate_census_files_sharded(paths, 400, {}, &stats);
   EXPECT_EQ(stats.files_ok, 1u);
   EXPECT_EQ(stats.files_salvaged, 1u);
   EXPECT_EQ(stats.files_skipped, 1u);
   EXPECT_GT(stats.observations, 0u);
 
-  // The legacy strict overload refuses the salvageable file too.
-  std::size_t skipped = 0;
-  collate_census_files(paths, 400, &skipped);
-  EXPECT_EQ(skipped, 2u);
+  // Strict collation refuses the salvageable file too.
+  CollateStats strict;
+  (void)collate_census_files_sharded(paths, 400, {}, &strict,
+                                     /*salvage=*/false);
+  EXPECT_EQ(strict.files_skipped, 2u);
   (void)data;
 }
 
@@ -308,7 +307,8 @@ TEST_F(StorageTest, OutOfRangeTargetsDropped) {
   const fs::path path = dir_ / "range.anc";
   write_census_file(path, {1, 1}, stream);
   const std::vector<fs::path> paths{path};
-  const CensusMatrix data = collate_census_files(paths, 400);
+  const ShardedCensusMatrix data = collate_census_files_sharded(
+      paths, 400, {}, /*stats=*/nullptr, /*salvage=*/false);
   EXPECT_EQ(data.measurements(399).size(), 1u);
   std::size_t total = 0;
   for (std::uint32_t t = 0; t < data.target_count(); ++t) {
@@ -534,8 +534,10 @@ TEST_F(StorageTest, SpilledSnapshotServesWhileFaultCorpusRuns) {
   if (!matrix.spill_values(path.string())) GTEST_SKIP() << "no spill tier";
   matrix.drop_resident_values();
 
-  const serving::SnapshotView view = serving::SnapshotView::build(
-      std::move(matrix), {}, /*id=*/1);
+  ShardedCensusMatrix sharded(kTargets, {});  // one shard
+  sharded.shard(0) = std::move(matrix);
+  const serving::SnapshotView view =
+      serving::SnapshotView::build(std::move(sharded), {}, /*id=*/1);
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> torn{0};

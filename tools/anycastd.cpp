@@ -1022,8 +1022,9 @@ int cmd_diff(const Flags& flags) {
     census::FastPingConfig fastping;
     fastping.seed = 5000 + static_cast<std::uint64_t>(epoch);
     fastping.vp_availability = availability;
-    const auto output = run_census(internet, vps, hitlist, blacklist,
-                                   fastping, /*faults=*/nullptr, &pool);
+    const auto output = census::run_census_sharded(
+        internet, vps, hitlist, blacklist, fastping, /*plane=*/{},
+        /*faults=*/nullptr, &pool);
     analysis::CensusSnapshot snapshot(
         analyzer.analyze(output.data, hitlist, /*min_vps=*/2, &pool));
     std::printf("epoch %d: %zu anycast /24\n", epoch, snapshot.size());
@@ -1105,8 +1106,9 @@ int cmd_report(const Flags& flags) {
     std::fprintf(stderr, "report: no .anc files in %s\n", in_dir->c_str());
     return 1;
   }
-  const census::CensusMatrix data = census::collate_census_files(
-      files, hitlist.size(), static_cast<census::CollateStats*>(nullptr));
+  const census::ShardedCensusMatrix data =
+      census::collate_census_files_sharded(files, hitlist.size(),
+                                           /*plane=*/{}, /*stats=*/nullptr);
   concurrency::ThreadPool pool = pool_from(flags);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   const analysis::CensusReport census_report(
