@@ -1,12 +1,14 @@
 // Analysis-kernel duel: pre-kernel scalar pipeline vs the vectorized
 // geodesy + bitset-MIS kernel, on identical inputs.
 //
-// Both sides run the SAME driver code — `Options::reference_kernel` routes
-// every geometry step (measurement collapse, pairwise disk tests, MIS,
-// city queries, the detect prefilter) through the original scalar
-// implementations, which the kernel retains verbatim as oracles. The duel
-// therefore measures exactly the change under test and can assert the
-// contract that makes it safe: byte-identical output, checked here with a
+// The scalar side is the pre-kernel pipeline kept verbatim in the
+// test-only oracle target (tests/oracles/kernel_oracles.hpp): hash-map
+// measurement collapse, haversine pair tests, vector<vector<bool>> MIS,
+// latitude-band city scans and the full O(n^2) detection sweep, driven by
+// the same serial detect -> iGreedy census loop as the production
+// analyzer but without its metrics, spans and journal events. The duel
+// measures the kernel against it and asserts the contract that makes the
+// kernel safe: byte-identical output, checked here with a
 // CRC over every field of every outcome (disk geometry, verdicts, replica
 // coordinates at full bit width). Per-phase timings separate the detect
 // sweep (the bulk of a census analysis: ~97% unicast rows) from iGreedy on
@@ -24,6 +26,7 @@
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/core/mis.hpp"
 #include "common.hpp"
+#include "kernel_oracles.hpp"
 
 namespace {
 
@@ -106,10 +109,8 @@ int main() {
   config.census_count = 2;
   const bench::BenchWorld world(config);
 
-  core::Options reference_options;
-  reference_options.reference_kernel = true;
-  const analysis::CensusAnalyzer reference(world.vps, geo::world_index(),
-                                           reference_options);
+  const oracles::ReferenceCensusAnalyzer reference(world.vps,
+                                                   oracles::world_scan());
   const analysis::CensusAnalyzer kernel(world.vps, geo::world_index());
 
   bench::print_title("Analysis kernel duel: scalar reference vs "
@@ -121,7 +122,7 @@ int main() {
   // ---- Phase 1: detection sweep (every row) -------------------------------
   std::vector<std::uint32_t> detected_reference;
   std::vector<std::uint32_t> detected_kernel;
-  const auto sweep = [&](const analysis::CensusAnalyzer& analyzer,
+  const auto sweep = [&](const auto& analyzer,
                          std::vector<std::uint32_t>& out) {
     out.clear();
     for (std::uint32_t t = 0; t < world.combined.target_count(); ++t) {
@@ -137,7 +138,7 @@ int main() {
   detect_phase.identical = detected_reference == detected_kernel;
 
   // ---- Phase 2: iGreedy on detected rows ----------------------------------
-  const auto igreedy_all = [&](const analysis::CensusAnalyzer& analyzer,
+  const auto igreedy_all = [&](const auto& analyzer,
                                const std::vector<std::uint32_t>& rows) {
     std::uint32_t digest = 0;
     std::vector<analysis::TargetOutcome> outcomes;
@@ -166,7 +167,7 @@ int main() {
   std::uint32_t analyze_kernel_digest = 0;
   analyze_phase.reference_s = time_best([&] {
     analyze_reference_digest = outcome_digest(
-        reference.analyze(world.combined, world.hitlist, 2, nullptr));
+        reference.analyze(world.combined, world.hitlist, 2));
   });
   analyze_phase.kernel_s = time_best([&] {
     analyze_kernel_digest = outcome_digest(
@@ -204,13 +205,13 @@ int main() {
   PhaseRow greedy_phase{"greedy_mis"};
   bool greedy_identical = true;
   greedy_phase.reference_s = time_best([&] {
-    for (const auto& disks : mis_inputs) core::reference::greedy_mis(disks);
+    for (const auto& disks : mis_inputs) oracles::greedy_mis(disks);
   });
   greedy_phase.kernel_s = time_best([&] {
     for (const auto& disks : mis_inputs) core::greedy_mis(disks);
   });
   for (const auto& disks : mis_inputs) {
-    if (core::reference::greedy_mis(disks) != core::greedy_mis(disks)) {
+    if (oracles::greedy_mis(disks) != core::greedy_mis(disks)) {
       greedy_identical = false;
     }
   }
@@ -219,13 +220,13 @@ int main() {
   PhaseRow exact_phase{"exact_mis"};
   bool exact_identical = true;
   exact_phase.reference_s = time_best([&] {
-    for (const auto& disks : exact_inputs) core::reference::exact_mis(disks);
+    for (const auto& disks : exact_inputs) oracles::exact_mis(disks);
   });
   exact_phase.kernel_s = time_best([&] {
     for (const auto& disks : exact_inputs) core::exact_mis(disks);
   });
   for (const auto& disks : exact_inputs) {
-    if (core::reference::exact_mis(disks) != core::exact_mis(disks)) {
+    if (oracles::exact_mis(disks) != core::exact_mis(disks)) {
       exact_identical = false;
     }
   }

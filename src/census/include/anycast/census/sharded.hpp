@@ -122,10 +122,6 @@ class ShardedCensusMatrix {
   /// Total value bytes across all shards, resident or spilled.
   [[nodiscard]] std::size_t total_value_bytes() const;
 
-  /// Flattens into one monolithic CensusMatrix (cross-check scale only —
-  /// this materializes everything resident).
-  [[nodiscard]] CensusMatrix to_monolithic() const;
-
  private:
   friend class ShardedCensusMatrixBuilder;
   [[nodiscard]] std::string spill_path(std::size_t s) const;

@@ -177,21 +177,6 @@ std::size_t ShardedCensusMatrix::enforce_rss_budget() {
   return resident;
 }
 
-CensusMatrix ShardedCensusMatrix::to_monolithic() const {
-  CensusMatrixBuilder builder(target_count_);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const CensusMatrix& shard = shards_[s];
-    const std::size_t base = shard_base(s);
-    for (std::uint32_t t = 0; t < shard.target_count(); ++t) {
-      for (const VpRtt& sample : shard.measurements(t)) {
-        builder.add(static_cast<std::uint32_t>(base + t), sample.vp,
-                    sample.rtt_ms);
-      }
-    }
-  }
-  return builder.build_uncounted();
-}
-
 ShardedCensusMatrixBuilder::ShardedCensusMatrixBuilder(
     std::size_t target_count, const DataPlaneConfig& plane)
     : target_count_(target_count),
@@ -223,25 +208,46 @@ void ShardedCensusMatrixBuilder::add(std::uint32_t target_index,
 
 void ShardedCensusMatrixBuilder::add_fragment(std::uint16_t vp,
                                               std::vector<TargetRtt> fragment) {
-  // Split by target range. Entries may arrive in any order (the builder
-  // canonicalises), so route one by one; out-of-range entries are
-  // dropped exactly as the monolithic builder drops them.
-  std::vector<std::vector<TargetRtt>> split(shard_count_);
-  for (const TargetRtt& entry : fragment) {
-    if (entry.target_index >= target_count_) continue;
-    const std::size_t s = entry.target_index / shard_targets_;
-    split[s].push_back(TargetRtt{
-        static_cast<std::uint32_t>(entry.target_index - s * shard_targets_),
-        entry.rtt_ms});
-  }
-  fragment.clear();
-  fragment.shrink_to_fit();
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    if (split[s].empty()) continue;
-    const std::size_t bytes = split[s].size() * sizeof(TargetRtt);
-    stage_[s].add_fragment(vp, std::move(split[s]));
+  // Out-of-range entries are dropped exactly as the monolithic builder
+  // drops them.
+  const auto stage = [&](std::size_t s, std::vector<TargetRtt> entries) {
+    if (entries.empty()) return;
+    const std::size_t bytes = entries.size() * sizeof(TargetRtt);
+    stage_[s].add_fragment(vp, std::move(entries));
     stage_entry_bytes_[s] += bytes;
     staged_bytes_ += bytes;
+  };
+  if (shard_count_ == 1) {
+    // Local indices equal global ones: filter in place and hand the
+    // fragment over without a copy.
+    std::erase_if(fragment, [&](const TargetRtt& entry) {
+      return entry.target_index >= target_count_;
+    });
+    stage(0, std::move(fragment));
+  } else {
+    // Split by target range. Entries may arrive in any order (the builder
+    // canonicalises), so route one by one, into vectors sized by a
+    // counting pass.
+    std::vector<std::size_t> counts(shard_count_, 0);
+    for (const TargetRtt& entry : fragment) {
+      if (entry.target_index < target_count_) {
+        ++counts[entry.target_index / shard_targets_];
+      }
+    }
+    std::vector<std::vector<TargetRtt>> split(shard_count_);
+    for (std::size_t s = 0; s < shard_count_; ++s) split[s].reserve(counts[s]);
+    for (const TargetRtt& entry : fragment) {
+      if (entry.target_index >= target_count_) continue;
+      const std::size_t s = entry.target_index / shard_targets_;
+      split[s].push_back(TargetRtt{
+          static_cast<std::uint32_t>(entry.target_index - s * shard_targets_),
+          entry.rtt_ms});
+    }
+    fragment.clear();
+    fragment.shrink_to_fit();
+    for (std::size_t s = 0; s < shard_count_; ++s) {
+      stage(s, std::move(split[s]));
+    }
   }
   if (plane_.stage_budget_mb == 0) return;  // unlimited staging
   const std::size_t budget = plane_.stage_budget_mb * (std::size_t{1} << 20);

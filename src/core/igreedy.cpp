@@ -105,8 +105,9 @@ bool collapse_dense(std::span<const Measurement> measurements,
   return true;
 }
 
-/// Pre-kernel collapse (hash map + sort), kept verbatim as the
-/// reference-kernel path and the sparse-VP-id fallback.
+/// Hash-map collapse (map + sort by VP id): the sparse-VP-id fallback for
+/// ids at or above kDenseVpLimit, where the dense arena would be too big.
+/// Yields the same (vp, min-rtt, location) sequence as collapse_dense.
 std::vector<geodesy::Disk> make_disks_map(
     std::span<const Measurement> measurements, double max_rtt_ms,
     std::vector<std::uint32_t>* vp_ids) {
@@ -146,19 +147,17 @@ std::vector<geodesy::Disk> IGreedy::make_disks(
   // Output is ascending by VP id on both paths: the dense arena sorts its
   // touched list, the map path sorts its collapsed entries — identical
   // (vp, min-rtt, location) sequences, hence identical disks.
-  if (!options_.reference_kernel) {
-    CollapseScratch& s = collapse_scratch();
-    if (collapse_dense(measurements, options_.max_rtt_ms, s)) {
-      std::vector<geodesy::Disk> disks;
-      disks.reserve(s.touched.size());
-      vp_ids->clear();
-      vp_ids->reserve(s.touched.size());
-      for (const std::uint32_t vp : s.touched) {
-        disks.push_back(geodesy::Disk::from_rtt(s.location[vp], s.min_rtt[vp]));
-        vp_ids->push_back(vp);
-      }
-      return disks;
+  CollapseScratch& s = collapse_scratch();
+  if (collapse_dense(measurements, options_.max_rtt_ms, s)) {
+    std::vector<geodesy::Disk> disks;
+    disks.reserve(s.touched.size());
+    vp_ids->clear();
+    vp_ids->reserve(s.touched.size());
+    for (const std::uint32_t vp : s.touched) {
+      disks.push_back(geodesy::Disk::from_rtt(s.location[vp], s.min_rtt[vp]));
+      vp_ids->push_back(vp);
     }
+    return disks;
   }
   return make_disks_map(measurements, options_.max_rtt_ms, vp_ids);
 }
@@ -169,15 +168,12 @@ Replica IGreedy::geolocate(const geodesy::Disk& disk,
   replica.disk = disk;
   replica.vp_id = vp_id;
   replica.location = disk.center();
-  const bool reference = options_.reference_kernel;
   switch (options_.city_policy) {
     case CityPolicy::kLargestPopulation:
-      replica.city = reference ? cities_->most_populated_in_scan(disk)
-                               : cities_->most_populated_in(disk);
+      replica.city = cities_->most_populated_in(disk);
       break;
     case CityPolicy::kNearestToCenter: {
-      const geo::City* nearest = reference ? cities_->nearest_scan(disk.center())
-                                           : cities_->nearest(disk.center());
+      const geo::City* nearest = cities_->nearest(disk.center());
       if (nearest != nullptr && disk.contains(nearest->location())) {
         replica.city = nearest;
       }
@@ -233,15 +229,13 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
   std::vector<geodesy::Disk> disks = make_disks(measurements, &vp_ids);
   result.usable_measurements = disks.size();
   if (disks.empty()) return result;
-  const bool reference = options_.reference_kernel;
 
   // Detection is the strict speed-of-light criterion: at least one pair of
   // disjoint disks. The collapse-and-resolve iteration below raises
   // enumeration recall but must not drive detection — an overlapping disk
   // whose city classification happens to fall outside a neighbour is not
   // evidence of anycast.
-  result.anycast = reference ? reference::has_disjoint_pair(disks)
-                             : has_disjoint_pair(disks);
+  result.anycast = has_disjoint_pair(disks);
   if (!result.anycast) {
     // Unicast (or undetectable): classic latency geolocation in the
     // smallest disk.
@@ -260,13 +254,11 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
   // Disk::contains) makes each of those tests one dot product.
   thread_local std::vector<geodesy::Unit3> disk_units;
   thread_local std::vector<geodesy::CapTrig> disk_caps;
-  if (!reference) {
-    disk_units.resize(disks.size());
-    disk_caps.resize(disks.size());
-    for (std::size_t i = 0; i < disks.size(); ++i) {
-      disk_units[i] = geodesy::unit_vector(disks[i].center());
-      disk_caps[i] = geodesy::cap_trig(disks[i].radius_km());
-    }
+  disk_units.resize(disks.size());
+  disk_caps.resize(disks.size());
+  for (std::size_t i = 0; i < disks.size(); ++i) {
+    disk_units[i] = geodesy::unit_vector(disks[i].center());
+    disk_caps[i] = geodesy::cap_trig(disks[i].radius_km());
   }
 
   // Working state: `fixed` holds replicas already geolocated (their disks
@@ -278,12 +270,6 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
   std::vector<char> consumed(disks.size(), 0);
 
   const auto explained_by_fixed = [&](std::size_t idx) {
-    if (reference) {
-      return std::any_of(fixed.begin(), fixed.end(),
-                         [&](const Replica& replica) {
-                           return disks[idx].contains(replica.location);
-                         });
-    }
     for (std::size_t f = 0; f < fixed.size(); ++f) {
       if (geodesy::cap_contains(disk_units[idx], fixed_units[f],
                                 disk_caps[idx], disks[idx].center(),
@@ -311,11 +297,8 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
       candidate_disks.push_back(disks[idx]);
     }
     const std::vector<std::size_t> picked =
-        options_.exact_enumeration
-            ? (reference ? reference::exact_mis(candidate_disks)
-                         : exact_mis(candidate_disks))
-            : (reference ? reference::greedy_mis(candidate_disks)
-                         : greedy_mis(candidate_disks));
+        options_.exact_enumeration ? exact_mis(candidate_disks)
+                                   : greedy_mis(candidate_disks);
     if (picked.empty()) break;
     if (round == 0) result.first_round_replicas = picked.size();
 
@@ -331,9 +314,7 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
             return existing.city != nullptr && existing.city == replica.city;
           });
       if (!duplicate || replica.city == nullptr) {
-        if (!reference) {
-          fixed_units.push_back(geodesy::unit_vector(replica.location));
-        }
+        fixed_units.push_back(geodesy::unit_vector(replica.location));
         fixed.push_back(replica);
         progress = true;
       }

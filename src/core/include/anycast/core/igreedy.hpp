@@ -76,13 +76,6 @@ struct Options {
   /// 5-approximation (validation/ablation only — exponential worst case).
   bool exact_enumeration = false;
   CityPolicy city_policy = CityPolicy::kLargestPopulation;
-  /// Route every geometry step through the pre-kernel scalar
-  /// implementations (hash-map measurement collapse, haversine pair
-  /// tests, vector<vector<bool>> MIS, latitude-band city scans). The
-  /// output is byte-identical either way — that equality is what the
-  /// bench_analysis_kernel duel and the kernel property tests assert —
-  /// so this exists for benchmarking and validation only.
-  bool reference_kernel = false;
 };
 
 /// The analysis engine. Stateless apart from configuration; one instance

@@ -8,6 +8,11 @@
 // results very close to the optimum provided by a prohibitively more
 // costly brute force solution" — both are implemented here so the claim is
 // testable (see bench_mis_ablation).
+//
+// All three entry points are the chord-space/bitset kernel (DESIGN.md
+// §14). The pre-kernel scalar solvers they replaced live only in the
+// test-only tests/oracles target, where kernel_test pins these results to
+// them element by element.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +28,7 @@ namespace anycast::core {
 /// order picked (i.e. by increasing radius). Pairwise tests run in chord
 /// space (precomputed unit vectors + cap trig, no libm per pair) with a
 /// guard-banded scalar fallback, so the result is byte-identical to the
-/// reference implementation.
+/// pre-kernel scalar solver.
 std::vector<std::size_t> greedy_mis(std::span<const geodesy::Disk> disks);
 
 /// Exact maximum independent set by branch-and-bound over the intersection
@@ -34,22 +39,12 @@ std::vector<std::size_t> greedy_mis(std::span<const geodesy::Disk> disks);
 /// large instances. Exponential in the worst case; intended for
 /// validation on instances up to a few dozen disks (the paper's
 /// 10^3-seconds-per-target brute force). Returns indices in increasing
-/// order — the exact same set the reference implementation returns (the
+/// order — the exact same set the pre-kernel solver returns (the
 /// branching order is replicated, see mis.cpp).
 std::vector<std::size_t> exact_mis(std::span<const geodesy::Disk> disks);
 
 /// Convenience: true when at least two disks are disjoint, i.e. the
 /// measurements are geo-inconsistent (speed-of-light violation, Fig. 3b).
 bool has_disjoint_pair(std::span<const geodesy::Disk> disks);
-
-/// The pre-kernel scalar implementations, kept verbatim as test oracles
-/// and as the "scalar" side of the bench_analysis_kernel duel. Property
-/// tests pin the fast paths above to these bit for bit; do not use them
-/// on hot paths.
-namespace reference {
-std::vector<std::size_t> greedy_mis(std::span<const geodesy::Disk> disks);
-std::vector<std::size_t> exact_mis(std::span<const geodesy::Disk> disks);
-bool has_disjoint_pair(std::span<const geodesy::Disk> disks);
-}  // namespace reference
 
 }  // namespace anycast::core

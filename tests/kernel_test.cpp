@@ -3,28 +3,36 @@
 // randomized inputs.
 //
 // The kernel's contract is not "approximately equal" — it is byte-for-byte
-// equality with the pre-kernel implementations, which the code retains as
-// oracles (geodesy scalar predicates, core::reference MIS solvers, the
-// CityIndex *_scan queries, CensusAnalyzer::detect_scan). Inputs here are
-// chosen to stress the places where that contract could crack: distances
-// at the decision boundary (forcing the guard-band fallback), radius sums
-// near the maximum great-circle distance (where the angle-sum identity
-// stops being monotone), cities straddling the latitude band edge, tied
-// populations, tied RTTs, duplicate VPs, and antimeridian/pole geometry.
+// equality with the pre-kernel implementations. The geodesy scalar
+// predicates stay in the library (the kernel falls back to them inside its
+// guard band); everything else lives only in the test-only oracle target
+// (tests/oracles/kernel_oracles.hpp): the MIS solvers, the latitude-band
+// city scans, the full pairwise detection sweep and the whole pre-kernel
+// iGreedy. Inputs here are chosen to stress the places where that
+// contract could crack: distances at the decision boundary (forcing the
+// guard-band fallback), radius sums near the maximum great-circle distance
+// (where the angle-sum identity stops being monotone), cities straddling
+// the latitude band edge, tied populations, tied RTTs, duplicate VPs, and
+// antimeridian/pole geometry.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "anycast/analysis/analyzer.hpp"
+#include "anycast/census/sharded.hpp"
+#include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/core/igreedy.hpp"
 #include "anycast/core/mis.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/geodesy/chord.hpp"
 #include "anycast/geodesy/disk.hpp"
 #include "anycast/geodesy/geopoint.hpp"
+#include "anycast/net/internet.hpp"
 #include "anycast/net/platform.hpp"
 #include "anycast/rng/distributions.hpp"
+#include "kernel_oracles.hpp"
 
 namespace anycast {
 namespace {
@@ -189,7 +197,7 @@ TEST(MisKernel, GreedyMatchesReferenceExactly) {
     const int count = 1 + static_cast<int>(rng::uniform_index(gen, 180));
     auto disks = random_disks(gen, count, round % 2 ? 600.0 : 6000.0);
     if (round % 5 == 0 && disks.size() > 2) disks[1] = disks[0];
-    ASSERT_EQ(core::greedy_mis(disks), core::reference::greedy_mis(disks))
+    ASSERT_EQ(core::greedy_mis(disks), oracles::greedy_mis(disks))
         << "round " << round << " n=" << disks.size();
   }
 }
@@ -200,7 +208,7 @@ TEST(MisKernel, ExactMatchesReferenceExactly) {
     const int count = 1 + static_cast<int>(rng::uniform_index(gen, 26));
     auto disks = random_disks(gen, count, round % 2 ? 800.0 : 5000.0);
     if (round % 7 == 0 && disks.size() > 2) disks[2] = disks[0];
-    ASSERT_EQ(core::exact_mis(disks), core::reference::exact_mis(disks))
+    ASSERT_EQ(core::exact_mis(disks), oracles::exact_mis(disks))
         << "round " << round << " n=" << disks.size();
   }
 }
@@ -211,7 +219,7 @@ TEST(MisKernel, HasDisjointPairMatchesReference) {
     const int count = 2 + static_cast<int>(rng::uniform_index(gen, 150));
     const auto disks = random_disks(gen, count, round % 2 ? 300.0 : 9000.0);
     ASSERT_EQ(core::has_disjoint_pair(disks),
-              core::reference::has_disjoint_pair(disks))
+              oracles::has_disjoint_pair(disks))
         << "round " << round;
   }
 }
@@ -220,6 +228,7 @@ TEST(MisKernel, HasDisjointPairMatchesReference) {
 
 TEST(CityKernel, DiskQueriesMatchScanOracles) {
   const geo::CityIndex& index = geo::world_index();
+  const oracles::CityScan& scan = oracles::world_scan();
   rng::Xoshiro256 gen(4096);
   for (int q = 0; q < 4000; ++q) {
     const GeoPoint center = random_point(gen);
@@ -227,9 +236,9 @@ TEST(CityKernel, DiskQueriesMatchScanOracles) {
     // the disk ON a known city so the band edge cuts through real entries.
     double radius = rng::uniform(gen, 5.0, 9000.0);
     const Disk disk(center, radius);
-    ASSERT_EQ(index.most_populated_in(disk), index.most_populated_in_scan(disk))
+    ASSERT_EQ(index.most_populated_in(disk), scan.most_populated_in(disk))
         << "query " << q << " r=" << radius;
-    ASSERT_EQ(index.cities_in(disk), index.cities_in_scan(disk))
+    ASSERT_EQ(index.cities_in(disk), scan.cities_in(disk))
         << "query " << q << " r=" << radius;
   }
   // Boundary radii: the disk's edge exactly on a city.
@@ -242,9 +251,9 @@ TEST(CityKernel, DiskQueriesMatchScanOracles) {
          {d, std::nextafter(d, 0.0), std::nextafter(d, 1e9)}) {
       const Disk disk(center, radius);
       ASSERT_EQ(index.most_populated_in(disk),
-                index.most_populated_in_scan(disk))
+                scan.most_populated_in(disk))
           << "boundary query " << q;
-      ASSERT_EQ(index.cities_in(disk), index.cities_in_scan(disk))
+      ASSERT_EQ(index.cities_in(disk), scan.cities_in(disk))
           << "boundary query " << q;
     }
   }
@@ -252,38 +261,40 @@ TEST(CityKernel, DiskQueriesMatchScanOracles) {
 
 TEST(CityKernel, NearestMatchesScanOracle) {
   const geo::CityIndex& index = geo::world_index();
+  const oracles::CityScan& scan = oracles::world_scan();
   rng::Xoshiro256 gen(777);
   for (int q = 0; q < 5000; ++q) {
     const GeoPoint point = random_point(gen);
-    ASSERT_EQ(index.nearest(point), index.nearest_scan(point))
+    ASSERT_EQ(index.nearest(point), scan.nearest(point))
         << "query " << q << " at " << point.latitude() << ","
         << point.longitude();
   }
   // On-city queries (distance 0) and pole/antimeridian corners.
   const geo::City* tokyo = index.by_name("Tokyo");
   ASSERT_NE(tokyo, nullptr);
-  EXPECT_EQ(index.nearest(tokyo->location()), index.nearest_scan(tokyo->location()));
+  EXPECT_EQ(index.nearest(tokyo->location()), scan.nearest(tokyo->location()));
   for (const GeoPoint corner :
        {GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0), GeoPoint(0.0, 180.0),
         GeoPoint(0.0, -180.0), GeoPoint(51.5, -0.1)}) {
-    EXPECT_EQ(index.nearest(corner), index.nearest_scan(corner));
+    EXPECT_EQ(index.nearest(corner), scan.nearest(corner));
   }
 }
 
 TEST(CityKernel, ByNameMatchesScanOracle) {
   const geo::CityIndex& index = geo::world_index();
+  const oracles::CityScan& scan = oracles::world_scan();
   // Every indexed name resolves to the scan's winner (first in ascending
   // latitude for duplicates), and a miss stays a miss.
   rng::Xoshiro256 gen(1);
   for (int q = 0; q < 200; ++q) {
     const Disk everywhere(random_point(gen), 20100.0);
     for (const geo::City* city : index.cities_in(everywhere)) {
-      ASSERT_EQ(index.by_name(city->name), index.by_name_scan(city->name));
+      ASSERT_EQ(index.by_name(city->name), scan.by_name(city->name));
     }
     break;  // one covering disk enumerates every city
   }
   EXPECT_EQ(index.by_name("Atlantis"), nullptr);
-  EXPECT_EQ(index.by_name(""), index.by_name_scan(""));
+  EXPECT_EQ(index.by_name(""), scan.by_name(""));
 }
 
 // ---- Analyzer detect prefilter vs full pairwise sweep -----------------------
@@ -291,6 +302,7 @@ TEST(CityKernel, ByNameMatchesScanOracle) {
 TEST(DetectKernel, WitnessPrefilterMatchesFullSweep) {
   const auto vps = net::make_planetlab({.node_count = 60, .seed = 11});
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
+  const oracles::ReferenceCensusAnalyzer oracle(vps, oracles::world_scan());
   rng::Xoshiro256 gen(60601);
   int detected = 0;
   for (int round = 0; round < 3000; ++round) {
@@ -311,7 +323,7 @@ TEST(DetectKernel, WitnessPrefilterMatchesFullSweep) {
       row.push_back(sample);
     }
     const bool fast = analyzer.detect(row);
-    const bool full = analyzer.detect_scan(row);
+    const bool full = oracle.detect(row);
     ASSERT_EQ(fast, full) << "round " << round;
     detected += fast ? 1 : 0;
   }
@@ -320,55 +332,141 @@ TEST(DetectKernel, WitnessPrefilterMatchesFullSweep) {
   EXPECT_LT(detected, 2950);
 }
 
-// ---- Whole-pipeline equality: reference_kernel routing ----------------------
+// ---- Whole-pipeline equality: kernel iGreedy vs pre-kernel oracle ----------
+
+/// One target's measurements from 1-6 planted replica sites: every VP
+/// measures its nearest site with inflation, and ~20% of VPs report a
+/// duplicate, half of them at the tied RTT.
+std::vector<core::Measurement> planted_measurements(
+    std::span<const net::VantagePoint> vps, rng::Xoshiro256& gen) {
+  const int replica_count = 1 + static_cast<int>(rng::uniform_index(gen, 6));
+  std::vector<GeoPoint> sites;
+  for (int r = 0; r < replica_count; ++r) sites.push_back(random_point(gen));
+  std::vector<core::Measurement> measurements;
+  for (std::size_t v = 0; v < vps.size(); ++v) {
+    double best = 1e18;
+    for (const GeoPoint& site : sites) {
+      best = std::min(
+          best, geodesy::distance_km(vps[v].believed_location, site));
+    }
+    core::Measurement m;
+    m.vp_id = static_cast<std::uint32_t>(v);
+    m.vp_location = vps[v].believed_location;
+    m.rtt_ms = best / 100.0 * rng::uniform(gen, 1.0, 1.4);
+    measurements.push_back(m);
+    if (rng::uniform01(gen) < 0.2) {  // duplicate VP, possibly tied RTT
+      core::Measurement dup = m;
+      if (rng::uniform01(gen) < 0.5) dup.rtt_ms += rng::uniform(gen, 0.0, 30.0);
+      measurements.push_back(dup);
+    }
+  }
+  return measurements;
+}
+
+/// Field-by-field equality of two iGreedy results, coordinates bitwise
+/// (not within a tolerance). `b`'s replica VP ids are compared after
+/// subtracting `vp_shift`.
+::testing::AssertionResult identical(const core::Result& a,
+                                     const core::Result& b,
+                                     std::uint32_t vp_shift = 0) {
+  if (a.anycast != b.anycast || a.iterations != b.iterations ||
+      a.usable_measurements != b.usable_measurements ||
+      a.first_round_replicas != b.first_round_replicas ||
+      a.replicas.size() != b.replicas.size()) {
+    return ::testing::AssertionFailure()
+           << "summary differs: anycast " << a.anycast << "/" << b.anycast
+           << ", iterations " << a.iterations << "/" << b.iterations
+           << ", replicas " << a.replicas.size() << "/" << b.replicas.size();
+  }
+  for (std::size_t r = 0; r < a.replicas.size(); ++r) {
+    const core::Replica& x = a.replicas[r];
+    const core::Replica& y = b.replicas[r];
+    if (x.vp_id != y.vp_id - vp_shift || x.city != y.city ||
+        x.location.latitude() != y.location.latitude() ||
+        x.location.longitude() != y.location.longitude() ||
+        x.disk.center().latitude() != y.disk.center().latitude() ||
+        x.disk.center().longitude() != y.disk.center().longitude() ||
+        x.disk.radius_km() != y.disk.radius_km()) {
+      return ::testing::AssertionFailure() << "replica " << r << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 TEST(PipelineKernel, AnalyzeIsByteIdenticalToReferenceKernel) {
   const auto vps = net::make_planetlab({.node_count = 40, .seed = 5});
-  core::Options reference_options;
-  reference_options.reference_kernel = true;
   const core::IGreedy kernel(geo::world_index());
-  const core::IGreedy reference(geo::world_index(), reference_options);
+  const oracles::ReferenceIGreedy reference(oracles::world_scan());
 
   rng::Xoshiro256 gen(20151215);
   for (int round = 0; round < 300; ++round) {
-    const int replica_count = 1 + static_cast<int>(rng::uniform_index(gen, 6));
-    std::vector<GeoPoint> sites;
-    for (int r = 0; r < replica_count; ++r) sites.push_back(random_point(gen));
-    std::vector<core::Measurement> measurements;
-    for (std::size_t v = 0; v < vps.size(); ++v) {
-      double best = 1e18;
-      for (const GeoPoint& site : sites) {
-        best = std::min(
-            best, geodesy::distance_km(vps[v].believed_location, site));
-      }
-      core::Measurement m;
-      m.vp_id = static_cast<std::uint32_t>(v);
-      m.vp_location = vps[v].believed_location;
-      m.rtt_ms = best / 100.0 * rng::uniform(gen, 1.0, 1.4);
-      measurements.push_back(m);
-      if (rng::uniform01(gen) < 0.2) {  // duplicate VP, possibly tied RTT
-        core::Measurement dup = m;
-        if (rng::uniform01(gen) < 0.5) dup.rtt_ms += rng::uniform(gen, 0.0, 30.0);
-        measurements.push_back(dup);
-      }
-    }
-    const core::Result a = kernel.analyze(measurements);
-    const core::Result b = reference.analyze(measurements);
-    ASSERT_EQ(a.anycast, b.anycast) << "round " << round;
-    ASSERT_EQ(a.iterations, b.iterations) << "round " << round;
-    ASSERT_EQ(a.usable_measurements, b.usable_measurements);
-    ASSERT_EQ(a.first_round_replicas, b.first_round_replicas);
-    ASSERT_EQ(a.replicas.size(), b.replicas.size()) << "round " << round;
-    for (std::size_t r = 0; r < a.replicas.size(); ++r) {
-      ASSERT_EQ(a.replicas[r].vp_id, b.replicas[r].vp_id);
-      ASSERT_EQ(a.replicas[r].city, b.replicas[r].city);
-      // Bitwise coordinate equality, not tolerance.
-      ASSERT_EQ(a.replicas[r].location.latitude(),
-                b.replicas[r].location.latitude());
-      ASSERT_EQ(a.replicas[r].location.longitude(),
-                b.replicas[r].location.longitude());
-      ASSERT_EQ(a.replicas[r].disk.radius_km(), b.replicas[r].disk.radius_km());
-    }
+    const auto measurements = planted_measurements(vps, gen);
+    ASSERT_TRUE(identical(kernel.analyze(measurements),
+                          reference.analyze(measurements)))
+        << "round " << round;
+  }
+}
+
+TEST(PipelineKernel, SparseVpIdsTakeTheMapPathWithIdenticalResults) {
+  // VP ids at or above 2^20 skip the dense collapse arena for the hash-map
+  // fallback in both IGreedy::analyze and IGreedy::detect. Shifting every
+  // id by 2^20 keeps their relative order, so both paths must see the
+  // same (vp, min-rtt, location) sequence and return the same answer.
+  constexpr std::uint32_t kShift = 1u << 20;
+  const auto vps = net::make_planetlab({.node_count = 40, .seed = 5});
+  const core::IGreedy igreedy(geo::world_index());
+
+  rng::Xoshiro256 gen(20151215);
+  int anycast = 0;
+  for (int round = 0; round < 300; ++round) {
+    const auto dense = planted_measurements(vps, gen);
+    auto sparse = dense;
+    for (core::Measurement& m : sparse) m.vp_id += kShift;
+    const core::Result a = igreedy.analyze(dense);
+    ASSERT_TRUE(identical(a, igreedy.analyze(sparse), kShift))
+        << "round " << round;
+    ASSERT_EQ(core::IGreedy::detect(dense), core::IGreedy::detect(sparse))
+        << "round " << round;
+    ASSERT_EQ(core::IGreedy::detect(sparse), a.anycast) << "round " << round;
+    anycast += a.anycast ? 1 : 0;
+  }
+  // Both verdicts must occur for the comparison to mean anything.
+  EXPECT_GT(anycast, 0);
+  EXPECT_LT(anycast, 300);
+}
+
+TEST(PipelineKernel, CensusSweepMatchesOracleDriver) {
+  // The whole census analysis — sharded, on a thread pool — against the
+  // serial pre-kernel detect -> iGreedy sweep on the same matrix.
+  net::WorldConfig world_config;
+  world_config.seed = 61;
+  world_config.unicast_alive_slash24 = 300;
+  world_config.unicast_dead_slash24 = 200;
+  const net::SimulatedInternet internet(world_config);
+  const auto vps = net::make_planetlab({.node_count = 60, .seed = 62});
+  const census::Hitlist hitlist =
+      census::Hitlist::from_world(internet).without_dead();
+  census::Greylist blacklist;
+  census::FastPingConfig ping;
+  ping.seed = 63;
+  census::DataPlaneConfig plane;
+  plane.shard_targets = 97;  // several ragged shards
+  const census::ShardedCensusMatrix data =
+      census::run_census_sharded(internet, vps, hitlist, blacklist, ping,
+                                 plane)
+          .data;
+
+  const analysis::CensusAnalyzer kernel(vps, geo::world_index());
+  const oracles::ReferenceCensusAnalyzer reference(vps, oracles::world_scan());
+  concurrency::ThreadPool pool(2);
+  const auto fast = kernel.analyze(data, hitlist, 2, &pool);
+  const auto slow = reference.analyze(data, hitlist, 2);
+  ASSERT_EQ(fast.size(), slow.size());
+  EXPECT_GT(fast.size(), 0u);
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    ASSERT_EQ(fast[i].target_index, slow[i].target_index) << "outcome " << i;
+    ASSERT_EQ(fast[i].slash24_index, slow[i].slash24_index) << "outcome " << i;
+    ASSERT_TRUE(identical(fast[i].result, slow[i].result)) << "outcome " << i;
   }
 }
 

@@ -23,6 +23,7 @@
 #include "anycast/census/storage.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
+#include "monolithic.hpp"
 
 namespace anycast::census {
 namespace {
@@ -313,7 +314,7 @@ TEST_F(ShardedTest, RunCensusShardedMatchesMonolithic) {
   const ShardedCensusOutput sharded =
       run_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist_sharded,
                          tiny_config(), plane);
-  expect_rows_equal(sharded.data, mono.data.to_monolithic());
+  expect_rows_equal(sharded.data, oracles::to_monolithic(mono.data));
   EXPECT_EQ(sharded.summary.probes_sent, mono.summary.probes_sent);
   EXPECT_EQ(sharded.summary.echo_replies, mono.summary.echo_replies);
   EXPECT_EQ(sharded.summary.greylist_new, mono.summary.greylist_new);
@@ -359,7 +360,8 @@ TEST_F(ShardedTest, CrashResumeSalvageMatchesMonolithic) {
   EXPECT_GE(sharded.files_salvaged, 1u);
   EXPECT_EQ(sharded.vps_rerun, mono.vps_rerun);
   EXPECT_EQ(sharded.vps_reused, mono.vps_reused);
-  expect_rows_equal(sharded.output.data, mono.output.data.to_monolithic());
+  expect_rows_equal(sharded.output.data,
+                    oracles::to_monolithic(mono.output.data));
 }
 
 TEST_F(ShardedTest, CollateShardedMatchesMonolithic) {
